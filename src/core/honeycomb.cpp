@@ -1,11 +1,20 @@
 #include "core/honeycomb.h"
 
 #include <algorithm>
+#include <optional>
 #include <unordered_map>
 
 #include "common/assert.h"
+#include "obs/metrics.h"
+#include "obs/timeseries.h"
 
 namespace thetanet::core {
+
+namespace {
+// Bits of a candidate's sort key that hold its index; select() has at most
+// 2E candidates.
+constexpr unsigned kIndexBits = 31;
+}  // namespace
 
 HoneycombMac::HoneycombMac(const topo::Deployment& d,
                            const graph::Graph& unit_graph,
@@ -15,35 +24,75 @@ HoneycombMac::HoneycombMac(const topo::Deployment& d,
       params_(params),
       tiling_(params.side_override > 0.0 ? params.side_override
                                          : 3.0 + 2.0 * params.delta) {
+  TN_ASSERT_MSG(unit_graph.num_nodes() == d.size(),
+                "unit graph and deployment must have the same nodes");
+  TN_ASSERT_MSG(2 * unit_graph.num_edges() < (std::size_t{1} << kIndexBits),
+                "unit graph has too many edges");
   TN_ASSERT_MSG(params.delta > 0.0, "guard zone Delta must be positive");
   TN_ASSERT_MSG(params.p_t > 0.0 && params.p_t <= 1.0 / 6.0 + 1e-12,
                 "Lemma 3.7 requires p_t <= 1/6");
+  // select() walks adjacency; build it now so later calls only read.
+  unit_graph.finalize();
 }
 
 std::vector<PlannedTx> HoneycombMac::select(const BalancingRouter& router,
                                             std::span<const double> costs,
                                             geom::Rng& rng,
                                             SelectionStats* stats) const {
-  // Per-hexagon maximum-benefit pair. Pairs are scanned in deterministic
-  // (edge id, direction) order; strictly larger benefit wins, so ties keep
-  // the earliest pair — "breaking ties in an arbitrary way" per the paper.
+  TN_ASSERT_MSG(costs.size() == unit_graph_->num_edges(),
+                "costs must hold one entry per unit-graph edge");
+  const BalancingParams& bp = router.params();
+  TN_ASSERT_MSG(bp.gamma >= 0.0, "the sender prune requires gamma >= 0");
+
+  // Candidate pairs come only from senders that can clear T. A pair's
+  // benefit h_from - h_to - gamma*c never exceeds h_from when gamma >= 0
+  // and c >= 0 (the difference of two small integers is exact in double
+  // and rounding is monotone), and best_for_pair rejects benefit <= T. So
+  // a sender whose tallest buffer is <= T, or that buffers nothing, yields
+  // no candidate and is skipped without changing the result.
+  struct Candidate {
+    PlannedTx tx;
+    geom::HexCell cell;  // the sender's hexagon
+  };
+  std::vector<Candidate> found;
+  // One sort key per candidate: (edge id, backward bit) above its index in
+  // `found` (kIndexBits wide; the constructor bounds the edge count).
+  std::vector<std::uint64_t> order;
+  const route::BufferBank& buffers = router.buffers();
+  buffers.for_each_active_node([&](graph::NodeId s) {
+    const std::span<const std::uint32_t> h = buffers.heights(s);
+    if (static_cast<double>(*std::max_element(h.begin(), h.end())) <=
+        bp.threshold)
+      return;
+    std::optional<geom::HexCell> cell;
+    for (const graph::Half& nb : unit_graph_->neighbors(s)) {
+      const std::optional<PlannedTx> tx =
+          router.best_for_pair(s, nb.to, nb.edge, costs[nb.edge]);
+      if (!tx) continue;
+      if (!cell) cell = tiling_.cell_of(deployment_->positions[s]);
+      const std::uint64_t key = (std::uint64_t{nb.edge} << 1) |
+                                (s != unit_graph_->edge_u(nb.edge) ? 1 : 0);
+      order.push_back((key << kIndexBits) | found.size());
+      found.push_back({*tx, *cell});
+    }
+  });
+  // Replay the candidates in (edge id, forward before backward) order, the
+  // order of a scan over all directed pairs: the hash map below then sees
+  // the same insertion sequence, so its iteration order, the coin each
+  // contestant draws and the benefit sums are those of that full scan.
+  std::sort(order.begin(), order.end());
+
+  // Per-hexagon maximum-benefit pair: strictly larger benefit wins, so ties
+  // keep the earliest pair in that order — "breaking ties in an arbitrary
+  // way" per the paper.
   std::unordered_map<geom::HexCell, PlannedTx, geom::HexCellHash> winner;
   SelectionStats local;
-  for (graph::EdgeId e = 0; e < unit_graph_->num_edges(); ++e) {
-    const graph::Edge& edge = unit_graph_->edge(e);
-    for (const bool forward : {true, false}) {
-      const graph::NodeId s = forward ? edge.u : edge.v;
-      const graph::NodeId t = forward ? edge.v : edge.u;
-      const std::optional<PlannedTx> tx =
-          router.best_for_pair(s, t, e, costs[e]);
-      if (!tx) continue;
-      ++local.candidate_pairs;
-      local.candidate_benefit_sum += tx->benefit;
-      const geom::HexCell cell = tiling_.cell_of(deployment_->positions[s]);
-      const auto it = winner.find(cell);
-      if (it == winner.end() || tx->benefit > it->second.benefit)
-        winner[cell] = *tx;
-    }
+  for (const std::uint64_t k : order) {
+    const Candidate& c = found[k & ((std::uint64_t{1} << kIndexBits) - 1)];
+    ++local.candidate_pairs;
+    local.candidate_benefit_sum += c.tx.benefit;
+    const auto [it, inserted] = winner.try_emplace(c.cell, c.tx);
+    if (!inserted && c.tx.benefit > it->second.benefit) it->second = c.tx;
   }
 
   std::vector<PlannedTx> chosen;
@@ -58,6 +107,9 @@ std::vector<PlannedTx> HoneycombMac::select(const BalancingRouter& router,
             [](const PlannedTx& a, const PlannedTx& b) {
               return a.edge < b.edge || (a.edge == b.edge && a.from < b.from);
             });
+  TN_OBS_COUNT("honeycomb.candidate_pairs", local.candidate_pairs);
+  TN_OBS_COUNT("honeycomb.contestants", local.contestants);
+  TN_OBS_SERIES_ADD("honeycomb.contestants", router.round(), local.contestants);
   if (stats != nullptr) *stats = local;
   return chosen;
 }

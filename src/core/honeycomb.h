@@ -37,7 +37,8 @@ struct HoneycombParams {
 class HoneycombMac {
  public:
   /// `unit_graph` must be the transmission graph of `d` with max_range = 1
-  /// (the fixed transmission radius).
+  /// (the fixed transmission radius); its node count must match `d`'s
+  /// (asserted).
   HoneycombMac(const topo::Deployment& d, const graph::Graph& unit_graph,
                const HoneycombParams& params);
 
@@ -54,6 +55,13 @@ class HoneycombMac {
 
   /// Contestant selection: per hexagon, the max-benefit pair (if its benefit
   /// clears the router's threshold T), then a p_t coin per contestant.
+  ///
+  /// `costs` holds one cost per unit-graph edge, each c >= 0, and the
+  /// router's gamma must be >= 0 (asserted). Then no pair's benefit exceeds
+  /// its sender's tallest buffer, so only senders with a buffer taller than
+  /// T are visited. The result is that of a scan over all 2E directed pairs
+  /// in (edge id, direction) order: same transmissions, same statistics,
+  /// same coins drawn from `rng`.
   std::vector<PlannedTx> select(const BalancingRouter& router,
                                 std::span<const double> costs, geom::Rng& rng,
                                 SelectionStats* stats = nullptr) const;

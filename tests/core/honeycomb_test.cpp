@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <map>
+#include <optional>
+#include <unordered_map>
 
 #include "topology/distributions.h"
 #include "topology/transmission_graph.h"
@@ -43,6 +48,22 @@ TEST(Honeycomb, RejectsInvalidParameters) {
   EXPECT_DEATH(HoneycombMac(f.d, f.unit, HoneycombParams{0.0, 1.0 / 6.0}),
                "Delta");
   EXPECT_DEATH(HoneycombMac(f.d, f.unit, HoneycombParams{0.5, 0.5}), "p_t");
+}
+
+TEST(Honeycomb, RejectsMismatchedInputs) {
+  const HcFixture f(87);
+  topo::Deployment fewer = f.d;
+  fewer.positions.pop_back();
+  EXPECT_DEATH(HoneycombMac(fewer, f.unit, HoneycombParams{0.5, 1.0 / 6.0}),
+               "same nodes");
+  const HoneycombMac mac(f.d, f.unit, HoneycombParams{0.5, 1.0 / 6.0});
+  geom::Rng rng(5);
+  const BalancingRouter router(f.d.size(), {0.5, 0.0, 64});
+  std::vector<double> short_costs = f.costs();
+  short_costs.pop_back();
+  EXPECT_DEATH(mac.select(router, short_costs, rng), "one entry per");
+  const BalancingRouter negative_gamma(f.d.size(), {0.5, -1.0, 64});
+  EXPECT_DEATH(mac.select(negative_gamma, f.costs(), rng), "gamma >= 0");
 }
 
 TEST(Honeycomb, AtMostOneContestantPerHexagon) {
@@ -167,6 +188,208 @@ TEST(Honeycomb, ResolveUsesFixedGuardDistance) {
   failed = mac2.resolve(txs);
   EXPECT_TRUE(failed[0]);
   EXPECT_TRUE(failed[1]);
+}
+
+// --- differential test: select() against the full 2E scan ----------------
+
+std::uint32_t tallest_buffer(const BalancingRouter& router, graph::NodeId v) {
+  const auto h = router.buffers().heights(v);
+  return h.empty() ? 0 : *std::max_element(h.begin(), h.end());
+}
+
+// The contestant selection as a scan over all 2E directed pairs, in (edge id,
+// forward before backward) order: the reference oracle for select(). With
+// `skip_at_or_below` set it drops every sender whose tallest buffer is at
+// most that value — the planted over-prune the comparison must catch.
+std::vector<PlannedTx> dense_select(
+    const HoneycombMac& mac, const topo::Deployment& d,
+    const graph::Graph& unit, const BalancingRouter& router,
+    std::span<const double> costs, geom::Rng& rng,
+    HoneycombMac::SelectionStats* stats,
+    std::optional<double> skip_at_or_below = std::nullopt) {
+  std::unordered_map<geom::HexCell, PlannedTx, geom::HexCellHash> winner;
+  HoneycombMac::SelectionStats local;
+  for (graph::EdgeId e = 0; e < unit.num_edges(); ++e) {
+    const graph::Edge& edge = unit.edge(e);
+    for (const bool forward : {true, false}) {
+      const graph::NodeId s = forward ? edge.u : edge.v;
+      const graph::NodeId t = forward ? edge.v : edge.u;
+      if (skip_at_or_below &&
+          static_cast<double>(tallest_buffer(router, s)) <= *skip_at_or_below)
+        continue;
+      const std::optional<PlannedTx> tx =
+          router.best_for_pair(s, t, e, costs[e]);
+      if (!tx) continue;
+      ++local.candidate_pairs;
+      local.candidate_benefit_sum += tx->benefit;
+      const geom::HexCell cell = mac.tiling().cell_of(d.positions[s]);
+      const auto it = winner.find(cell);
+      if (it == winner.end() || tx->benefit > it->second.benefit)
+        winner[cell] = *tx;
+    }
+  }
+  std::vector<PlannedTx> chosen;
+  for (const auto& [cell, tx] : winner) {
+    ++local.contestants;
+    local.contestant_benefit_sum += tx.benefit;
+    if (rng.bernoulli(mac.params().p_t)) chosen.push_back(tx);
+  }
+  std::sort(chosen.begin(), chosen.end(),
+            [](const PlannedTx& a, const PlannedTx& b) {
+              return a.edge < b.edge || (a.edge == b.edge && a.from < b.from);
+            });
+  if (stats != nullptr) *stats = local;
+  return chosen;
+}
+
+// Everything a selection leaves behind: its transmissions, its statistics
+// and the next draws of the rng it consumed coins from.
+struct Outcome {
+  std::vector<PlannedTx> txs;
+  HoneycombMac::SelectionStats stats;
+  std::array<std::uint64_t, 2> next_draws{};
+};
+
+Outcome finish(std::vector<PlannedTx> txs,
+               const HoneycombMac::SelectionStats& stats, geom::Rng& rng) {
+  Outcome o{std::move(txs), stats, {}};
+  for (std::uint64_t& x : o.next_draws) x = rng();
+  return o;
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+testing::AssertionResult same_outcome(const Outcome& a, const Outcome& b) {
+  if (a.txs.size() != b.txs.size())
+    return testing::AssertionFailure()
+           << a.txs.size() << " vs " << b.txs.size() << " transmissions";
+  for (std::size_t i = 0; i < a.txs.size(); ++i) {
+    const PlannedTx& x = a.txs[i];
+    const PlannedTx& y = b.txs[i];
+    if (x.edge != y.edge || x.from != y.from || x.to != y.to ||
+        x.dest != y.dest || !same_bits(x.benefit, y.benefit))
+      return testing::AssertionFailure() << "transmission " << i << " differs";
+  }
+  if (a.stats.candidate_pairs != b.stats.candidate_pairs ||
+      a.stats.contestants != b.stats.contestants)
+    return testing::AssertionFailure()
+           << "counts " << a.stats.candidate_pairs << "/"
+           << a.stats.contestants << " vs " << b.stats.candidate_pairs << "/"
+           << b.stats.contestants;
+  if (!same_bits(a.stats.candidate_benefit_sum,
+                 b.stats.candidate_benefit_sum) ||
+      !same_bits(a.stats.contestant_benefit_sum,
+                 b.stats.contestant_benefit_sum))
+    return testing::AssertionFailure() << "benefit sums differ";
+  if (a.next_draws != b.next_draws)
+    return testing::AssertionFailure() << "rng state differs";
+  return testing::AssertionSuccess();
+}
+
+// Inject `count` packets from a random subset of `sources` nodes toward a
+// few destinations, so buffers hold several destinations and grow tall.
+void load(const HcFixture& f, BalancingRouter& router, geom::Rng& rng,
+          std::size_t sources, std::size_t count, std::uint64_t& next_id) {
+  const std::size_t n = f.d.size();
+  std::array<graph::NodeId, 4> dests{};
+  for (graph::NodeId& t : dests)
+    t = static_cast<graph::NodeId>(rng.uniform_index(n));
+  route::RunMetrics m;
+  for (std::size_t i = 0; i < count; ++i) {
+    const auto s = static_cast<graph::NodeId>(rng.uniform_index(sources));
+    const graph::NodeId t = dests[rng.uniform_index(dests.size())];
+    if (s == t) continue;
+    router.inject(route::Packet{next_id++, s, t, 0, 0.0, 0}, m);
+  }
+}
+
+TEST(Honeycomb, SelectMatchesFullPairScan) {
+  const HcFixture f(88);
+  const HoneycombMac mac(f.d, f.unit, HoneycombParams{0.5, 1.0 / 6.0});
+  const std::vector<double> costs = f.costs();
+  std::size_t states = 0, pruned_states = 0, candidate_states = 0;
+  for (const double threshold : {0.0, 0.5, 3.0, 100.0}) {
+    for (const double gamma : {0.0, 7.45}) {
+      std::size_t caught = 0;
+      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        BalancingRouter router(f.d.size(), {threshold, gamma, 64});
+        geom::Rng rng(seed * 1000 + static_cast<std::uint64_t>(threshold));
+        std::uint64_t next_id = 0;
+        route::RunMetrics m;
+        for (route::Time t = 0; t < 40; ++t) {
+          // Bursts onto a shifting prefix of the node ids: some senders pile
+          // up tall buffers, others hold one or two packets.
+          if (t % 8 == 0)
+            load(f, router, rng, 10 + 20 * (t / 8), 60 + 40 * seed, next_id);
+          geom::Rng rng_select = rng;
+          geom::Rng rng_dense = rng;
+          geom::Rng rng_mutant = rng;
+          HoneycombMac::SelectionStats s_select, s_dense, s_mutant;
+          auto txs = mac.select(router, costs, rng_select, &s_select);
+          const Outcome fast = finish(txs, s_select, rng_select);
+          const Outcome ref =
+              finish(dense_select(mac, f.d, f.unit, router, costs, rng_dense,
+                                  &s_dense),
+                     s_dense, rng_dense);
+          const Outcome mutant = finish(
+              dense_select(mac, f.d, f.unit, router, costs, rng_mutant,
+                           &s_mutant, threshold + 1.0),
+              s_mutant, rng_mutant);
+          ASSERT_TRUE(same_outcome(fast, ref))
+              << "T=" << threshold << " gamma=" << gamma << " seed=" << seed
+              << " round=" << t;
+          if (!same_outcome(fast, mutant)) ++caught;
+          ++states;
+          if (s_select.candidate_pairs > 0) ++candidate_states;
+          bool skips_a_sender = false;
+          router.buffers().for_each_active_node([&](graph::NodeId v) {
+            if (static_cast<double>(tallest_buffer(router, v)) <= threshold)
+              skips_a_sender = true;
+          });
+          if (skips_a_sender) ++pruned_states;
+          // Move on along select()'s own trajectory.
+          rng = rng_select;
+          router.execute(txs, mac.resolve(txs), costs, t, m);
+          router.end_step(m);
+        }
+      }
+      // Nothing clears T=100 with H=64, so there is nothing to prune wrongly.
+      if (threshold < 100.0) {
+        EXPECT_GT(caught, 0U) << "over-prune at T+1 went unnoticed, T="
+                              << threshold << " gamma=" << gamma;
+      }
+    }
+  }
+  EXPECT_EQ(states, 4U * 2U * 3U * 40U);
+  EXPECT_GT(candidate_states, states / 4);
+  EXPECT_GT(pruned_states, states / 4);
+}
+
+TEST(Honeycomb, SelectWithEverySenderAtOrBelowThreshold) {
+  const HcFixture f(89);
+  const HoneycombMac mac(f.d, f.unit, HoneycombParams{0.5, 1.0 / 6.0});
+  const std::vector<double> costs = f.costs();
+  BalancingRouter router(f.d.size(), {3.0, 0.0, 64});
+  route::RunMetrics m;
+  // Three packets per (sender, destination): every buffer sits exactly at T.
+  std::uint64_t id = 0;
+  for (graph::NodeId s = 0; s < 40; ++s)
+    for (const graph::NodeId t : {graph::NodeId{50}, graph::NodeId{90}})
+      for (int k = 0; k < 3; ++k)
+        router.inject(route::Packet{id++, s, t, 0, 0.0, 0}, m);
+  geom::Rng rng_select(7);
+  geom::Rng rng_dense(7);
+  HoneycombMac::SelectionStats s_select, s_dense;
+  auto txs = mac.select(router, costs, rng_select, &s_select);
+  EXPECT_TRUE(txs.empty());
+  EXPECT_EQ(s_select.candidate_pairs, 0U);
+  EXPECT_TRUE(same_outcome(
+      finish(std::move(txs), s_select, rng_select),
+      finish(dense_select(mac, f.d, f.unit, router, costs, rng_dense,
+                          &s_dense),
+             s_dense, rng_dense)));
 }
 
 }  // namespace
