@@ -6,7 +6,9 @@
 // Default (matrix) mode sweeps nodes x workload x engine:
 //
 //   * engine "soa"       — the production sustained-load path
-//                          (plan_all_edges_into: active-node candidate scan);
+//                          (plan_all_edges_into: active-node candidate scan,
+//                          deduplicated and ordered by a per-edge bitmap
+//                          sweep);
 //   * engine "soa_dense" — plan_into over every edge (the parallelizable
 //                          dense scan; the thread sweep runs here);
 //   * engine "reference" — the pre-SoA map-of-vectors oracle

@@ -1,6 +1,7 @@
 #include "core/balancing_router.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/assert.h"
 #include "common/parallel.h"
@@ -153,29 +154,32 @@ std::vector<PlannedTx> BalancingRouter::plan(
 
 std::span<const graph::EdgeId> BalancingRouter::candidate_edges(
     const graph::Graph& topo) const {
-  if (edge_mark_.size() < topo.num_edges()) {
-    edge_mark_.assign(topo.num_edges(), 0);
-    mark_epoch_ = 0;
-  }
-  if (mark_epoch_ == 0xffffffffu) {  // epoch wrap: reset the stamps
-    std::fill(edge_mark_.begin(), edge_mark_.end(), 0);
-    mark_epoch_ = 0;
-  }
-  const std::uint32_t epoch = ++mark_epoch_;
-  candidates_.clear();
-  // Serial walk (neighbors() may lazily rebuild adjacency): collect every
-  // edge with at least one buffering endpoint, each exactly once.
+  // Every word is zero between calls, so a topology with a different edge
+  // count only needs the bitmap resized.
+  const std::size_t words = (topo.num_edges() + 63) / 64;
+  if (edge_bits_.size() != words) edge_bits_.assign(words, 0);
+  touched_.clear();
+  // Serial walk (neighbors() may lazily rebuild adjacency): set the bit of
+  // every edge with at least one buffering endpoint.
   buffers_.for_each_active_node([&](graph::NodeId v) {
     for (const graph::Half& h : topo.neighbors(v)) {
-      if (edge_mark_[h.edge] != epoch) {
-        edge_mark_[h.edge] = epoch;
-        candidates_.push_back(h.edge);
-      }
+      std::uint64_t& word = edge_bits_[h.edge / 64];
+      if (word == 0) touched_.push_back(h.edge / 64);
+      word |= std::uint64_t{1} << (h.edge % 64);
     }
   });
-  // Active-node order is arbitrary; sorting restores the canonical
-  // ascending-edge-id plan order (and with it cross-thread bit-identity).
-  std::sort(candidates_.begin(), candidates_.end());
+  // Active-node order is arbitrary; sweeping the touched words in index
+  // order, low bit first, restores the canonical ascending-edge-id plan
+  // order (and with it cross-thread bit-identity) while sorting only W
+  // word indices instead of the candidate ids themselves.
+  std::sort(touched_.begin(), touched_.end());
+  candidates_.clear();
+  for (const std::uint32_t w : touched_) {
+    for (std::uint64_t bits = edge_bits_[w]; bits != 0; bits &= bits - 1)
+      candidates_.push_back(
+          w * 64 + static_cast<graph::EdgeId>(std::countr_zero(bits)));
+    edge_bits_[w] = 0;
+  }
   return candidates_;
 }
 
@@ -185,7 +189,11 @@ void BalancingRouter::plan_all_edges_into(const graph::Graph& topo,
   // An edge whose endpoints both buffer nothing has h = 0 on every
   // destination, so no benefit can exceed T (plan() would emit nothing for
   // it); restricting to buffer-incident edges is therefore exact.
-  plan_into(topo, candidate_edges(topo), costs, out);
+  const std::span<const graph::EdgeId> candidates = candidate_edges(topo);
+  plan_into(topo, candidates, costs, out);
+  // Every candidate has a buffering endpoint; the ones that planned nothing
+  // are frozen (best benefit <= T), the gradient-ramp stall signal.
+  TN_OBS_COUNT("router.frozen_edges", candidates.size() - out.size());
 }
 
 void BalancingRouter::execute(std::span<const PlannedTx> txs,

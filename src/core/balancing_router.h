@@ -22,7 +22,12 @@
 // any TN_NUM_THREADS — the PR 1 contract), `execute` stages in-air packets
 // in a member scratch vector, and the sparse entry point
 // `plan_all_edges_into` derives the candidate edge set from the buffer
-// bank's active nodes instead of scanning every edge of a large graph.
+// bank's active nodes instead of scanning every edge of a large graph. That
+// set is a bitmap sweep: the adjacency walk sets one bit per edge, and
+// reading the touched words in ascending index order, each from its low bit
+// up, emits edge ids in ascending order. The plan order is therefore the
+// canonical edge-id order whatever order the bank lists its active nodes
+// in, with no sort over edge ids.
 
 #include <cstdint>
 #include <functional>
@@ -120,9 +125,10 @@ class BalancingRouter {
                            std::span<const double> costs,
                            std::vector<PlannedTx>& out) const;
 
-  /// The candidate edge set used by plan_all_edges_into (exposed for the
-  /// quantized router and tests): edges incident to buffer-active nodes,
-  /// deduplicated, sorted ascending. Valid until the next call.
+  /// The candidate edge set used by plan_all_edges_into (exposed for
+  /// tests): edges incident to buffer-active nodes, deduplicated, ascending.
+  /// Costs O(active adjacency + W log W) for W touched 64-edge words, with
+  /// no O(E) term. Valid until the next call.
   std::span<const graph::EdgeId> candidate_edges(
       const graph::Graph& topo) const;
 
@@ -168,8 +174,8 @@ class BalancingRouter {
   route::BufferBank buffers_;
   DestinationPredicate is_dest_;
   std::uint64_t round_ = 0;
-  // Reusable scratch (plan slots, candidate edges + epoch-stamped dedup
-  // marks, in-air staging). Mutable: plan is logically const; scratch reuse
+  // Reusable scratch (plan slots, candidate edges, the candidate bitmap,
+  // in-air staging). Mutable: plan is logically const; scratch reuse
   // is what makes the steady-state loop allocation-free. Not thread-safe
   // across router instances sharing nothing — each slot_ index is written
   // by exactly one parallel chunk.
@@ -179,8 +185,11 @@ class BalancingRouter {
   };
   mutable std::vector<PlannedTx> slots_;
   mutable std::vector<graph::EdgeId> candidates_;
-  mutable std::vector<std::uint32_t> edge_mark_;
-  mutable std::uint32_t mark_epoch_ = 0;
+  // One bit per edge of the last topology seen, all zero between calls
+  // (the sweep clears every word it reads), and the indices of the words
+  // the current walk made non-zero.
+  mutable std::vector<std::uint64_t> edge_bits_;
+  mutable std::vector<std::uint32_t> touched_;
   std::vector<InAir> in_air_;
 };
 

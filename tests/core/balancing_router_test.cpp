@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <vector>
+
+#include "geom/rng.h"
+#include "obs/metrics.h"
 
 namespace thetanet::core {
 namespace {
@@ -185,6 +190,171 @@ TEST(BalancingRouter, ConservationInvariant) {
             m.deliveries + r.packets_in_flight() + m.dropped_in_transit);
   EXPECT_GT(m.deliveries, 0U);
   EXPECT_LE(m.peak_buffer, 4U);
+}
+
+// --- Candidate edge set (plan_all_edges_into's sparse scan) ---------------
+
+/// n nodes joined by exactly `num_edges` distinct random pairs.
+graph::Graph graph_with_edges(std::size_t n, std::size_t num_edges,
+                              geom::Rng& rng) {
+  std::vector<std::pair<graph::NodeId, graph::NodeId>> pairs;
+  for (graph::NodeId u = 0; u < n; ++u)
+    for (graph::NodeId v = u + 1; v < n; ++v) pairs.emplace_back(u, v);
+  EXPECT_LE(num_edges, pairs.size());
+  for (std::size_t i = 0; i < num_edges; ++i)
+    std::swap(pairs[i], pairs[i + rng.uniform_index(pairs.size() - i)]);
+  graph::Graph g(n);
+  for (std::size_t i = 0; i < num_edges; ++i)
+    g.add_edge(pairs[i].first, pairs[i].second, 1.0, 1.0);
+  return g;
+}
+
+/// The definition, by brute force: every edge with a buffering endpoint,
+/// ascending, each once.
+std::vector<graph::EdgeId> brute_candidates(const graph::Graph& g,
+                                            const route::BufferBank& bank) {
+  std::vector<graph::EdgeId> out;
+  for (graph::EdgeId e = 0; e < g.num_edges(); ++e)
+    if (bank.live_destinations(g.edge_u(e)) > 0 ||
+        bank.live_destinations(g.edge_v(e)) > 0)
+      out.push_back(e);
+  return out;
+}
+
+/// Empty every buffer of node v.
+void drain(BalancingRouter& r, graph::NodeId v) {
+  route::BufferBank& bank = r.buffers_for_fault_injection();
+  const std::span<const route::DestId> ds = bank.dests(v);
+  const std::vector<route::DestId> dests(ds.begin(), ds.end());
+  for (const route::DestId d : dests)
+    while (bank.pop(v, d)) {
+    }
+}
+
+/// Drives `rounds` random buffer states through `r` on `g`: each round
+/// compares candidate_edges against brute force, then plans and executes
+/// (moving packets, emptying some senders), injects a few packets at random
+/// nodes and drains whole nodes at random. Returns how many rounds a stale
+/// oracle — this round's brute-force set united with the previous round's,
+/// the output of a sweep that forgets to clear its bitmap — got wrong.
+std::size_t drive_candidates(BalancingRouter& r, const graph::Graph& g,
+                             geom::Rng& rng, int rounds) {
+  const std::vector<double> costs = costs_of(g);
+  const std::size_t n = g.num_nodes();
+  std::vector<PlannedTx> txs;
+  RunMetrics m;
+  std::uint64_t id = 0;
+  std::vector<graph::EdgeId> prev;
+  std::size_t stale_misses = 0;
+  for (int t = 0; t < rounds; ++t) {
+    SCOPED_TRACE(t);
+    const std::span<const graph::EdgeId> got = r.candidate_edges(g);
+    const std::vector<graph::EdgeId> want =
+        brute_candidates(g, r.buffers());
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()));
+    std::vector<graph::EdgeId> stale;
+    std::set_union(want.begin(), want.end(), prev.begin(), prev.end(),
+                   std::back_inserter(stale));
+    if (stale != want) ++stale_misses;
+    prev = want;
+
+    r.plan_all_edges_into(g, costs, txs);
+    r.execute(txs, {}, costs, static_cast<route::Time>(t), m);
+    const std::size_t injections = rng.uniform_index(2 + n / 4);
+    for (std::size_t i = 0; i < injections; ++i) {
+      const auto src = static_cast<graph::NodeId>(rng.uniform_index(n));
+      const auto dst = static_cast<graph::NodeId>(
+          (src + 1 + rng.uniform_index(n - 1)) % n);
+      r.inject(mk(++id, src, dst), m);
+    }
+    for (graph::NodeId v = 0; v < n; ++v)
+      if (rng.bernoulli(0.3)) drain(r, v);
+    r.end_step(m);
+  }
+  return stale_misses;
+}
+
+TEST(CandidateEdges, EmptyBankHasNoCandidates) {
+  geom::Rng rng(3);
+  const graph::Graph g = graph_with_edges(16, 65, rng);
+  BalancingRouter r(16, {0.5, 0.0, 8});
+  EXPECT_TRUE(r.candidate_edges(g).empty());
+  RunMetrics m;
+  r.inject(mk(1, 3, 9), m);
+  EXPECT_FALSE(r.candidate_edges(g).empty());
+  drain(r, 3);
+  EXPECT_TRUE(r.candidate_edges(g).empty());
+}
+
+TEST(CandidateEdges, MatchesBruteForceAcrossWordBoundaries) {
+  // 63/64/65 edges straddle the first 64-bit word boundary; ~1000 spans 16
+  // words with several candidates per word.
+  for (const std::size_t num_edges : {1U, 63U, 64U, 65U, 1000U}) {
+    SCOPED_TRACE(num_edges);
+    geom::Rng rng(0xc0ffee + num_edges);
+    const std::size_t n = num_edges == 1 ? 2 : 48;
+    const graph::Graph g = graph_with_edges(n, num_edges, rng);
+    BalancingRouter r(n, {0.5, 0.0, 8});
+    const std::size_t stale_misses = drive_candidates(r, g, rng, 60);
+    // The states must actually drain nodes between rounds: a sweep that
+    // kept last round's bits would be caught.
+    EXPECT_GT(stale_misses, 0U);
+  }
+}
+
+TEST(CandidateEdges, RouterReusedAcrossTopologies) {
+  // One router, its buffers carried across topology rebuilds with fewer
+  // and then more edges (as examples/mobile_convoy reuses its router): the
+  // bitmap must follow the current edge count and never report a stale
+  // edge.
+  geom::Rng rng(77);
+  const std::size_t n = 48;
+  BalancingRouter r(n, {0.5, 0.0, 8});
+  std::size_t stale_misses = 0;
+  for (const std::size_t num_edges : {1000U, 65U, 1100U, 64U, 200U}) {
+    SCOPED_TRACE(num_edges);
+    const graph::Graph g = graph_with_edges(n, num_edges, rng);
+    stale_misses += drive_candidates(r, g, rng, 25);
+  }
+  EXPECT_GT(stale_misses, 0U);
+}
+
+TEST(CandidateEdges, FrozenEdgesCountCandidatesThatPlanNothing) {
+  if (!obs::kTelemetryCompiled)
+    GTEST_SKIP() << "telemetry compiled out (THETANET_TELEMETRY=OFF)";
+  obs::set_recording(true);
+  geom::Rng rng(9);
+  const graph::Graph g = graph_with_edges(48, 400, rng);
+  const std::vector<double> costs = costs_of(g);
+  RunMetrics m;
+  // T above any reachable height (H = 8): every candidate is frozen.
+  BalancingRouter frozen(48, {100.0, 0.0, 8});
+  // T = 0.5: only candidates that planned nothing count.
+  BalancingRouter live(48, {0.5, 0.0, 8});
+  for (std::uint64_t id = 1; id <= 120; ++id) {
+    const auto src = static_cast<graph::NodeId>(rng.uniform_index(48));
+    const auto dst = static_cast<graph::NodeId>((src + 1 + id % 47) % 48);
+    frozen.inject(mk(id, src, dst), m);
+    live.inject(mk(id, src, dst), m);
+  }
+  std::vector<PlannedTx> txs;
+  obs::MetricsRegistry::global().reset();
+  std::uint64_t candidates = 0;
+  for (int round = 0; round < 3; ++round) {
+    candidates += frozen.candidate_edges(g).size();
+    frozen.plan_all_edges_into(g, costs, txs);
+    EXPECT_TRUE(txs.empty());
+  }
+  ASSERT_GT(candidates, 0U);
+  EXPECT_EQ(obs::MetricsRegistry::global().counter_value("router.frozen_edges"),
+            candidates);
+
+  obs::MetricsRegistry::global().reset();
+  const std::size_t live_candidates = live.candidate_edges(g).size();
+  live.plan_all_edges_into(g, costs, txs);
+  EXPECT_FALSE(txs.empty());
+  EXPECT_EQ(obs::MetricsRegistry::global().counter_value("router.frozen_edges"),
+            live_candidates - txs.size());
 }
 
 TEST(TheoremParams, RecipesMatchFormulas) {
