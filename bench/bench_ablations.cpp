@@ -9,6 +9,8 @@
 
 #include "bench/common.h"
 
+#include <iostream>
+
 #include "core/balancing_router.h"
 #include "core/theta_topology.h"
 #include "graph/connectivity.h"

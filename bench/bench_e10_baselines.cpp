@@ -8,6 +8,8 @@
 
 #include "bench/common.h"
 
+#include <iostream>
+
 #include "core/theta_topology.h"
 #include "graph/connectivity.h"
 #include "graph/stretch.h"

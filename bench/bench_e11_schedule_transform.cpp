@@ -8,6 +8,8 @@
 
 #include "bench/common.h"
 
+#include <iostream>
+
 #include "core/schedule_transform.h"
 #include "topology/transmission_graph.h"
 

@@ -14,6 +14,8 @@
 
 #include "bench/common.h"
 
+#include <iostream>
+
 #include "core/balancing_router.h"
 #include "core/theta_topology.h"
 #include "graph/connectivity.h"

@@ -9,6 +9,8 @@
 
 #include "bench/common.h"
 
+#include <iostream>
+
 #include "core/contention_protocol.h"
 #include "sim/stats.h"
 

@@ -7,6 +7,8 @@
 
 #include "bench/common.h"
 
+#include <iostream>
+
 #include "core/quantized_router.h"
 #include "graph/connectivity.h"
 #include "routing/adversary.h"

@@ -11,6 +11,8 @@
 
 #include "bench/common.h"
 
+#include <iostream>
+
 #include "core/balancing_router.h"
 #include "core/local_protocol.h"
 #include "core/theta_topology.h"

@@ -9,6 +9,8 @@
 
 #include "bench/common.h"
 
+#include <iostream>
+
 #include "core/theta_topology.h"
 #include "graph/stretch.h"
 #include "topology/transmission_graph.h"

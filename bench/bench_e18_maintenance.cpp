@@ -8,6 +8,8 @@
 
 #include "bench/common.h"
 
+#include <iostream>
+
 #include "core/theta_maintenance.h"
 #include "sim/stats.h"
 

@@ -7,6 +7,7 @@
 #include "bench/common.h"
 
 #include <algorithm>
+#include <iostream>
 
 #include "core/theta_topology.h"
 #include "graph/connectivity.h"

@@ -6,6 +6,8 @@
 
 #include "bench/common.h"
 
+#include <iostream>
+
 #include "core/theta_topology.h"
 #include "sim/stats.h"
 #include "interference/model.h"

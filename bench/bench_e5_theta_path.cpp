@@ -8,6 +8,7 @@
 #include "bench/common.h"
 
 #include <algorithm>
+#include <iostream>
 
 #include "core/theta_topology.h"
 #include "interference/model.h"

@@ -6,6 +6,8 @@
 
 #include "bench/common.h"
 
+#include <iostream>
+
 #include "core/interference_mac.h"
 #include "core/theta_topology.h"
 #include "graph/connectivity.h"

@@ -7,6 +7,8 @@
 
 #include "bench/common.h"
 
+#include <iostream>
+
 #include "core/honeycomb.h"
 #include "graph/connectivity.h"
 #include "routing/metrics.h"

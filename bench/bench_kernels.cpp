@@ -34,11 +34,6 @@
 #if defined(__GLIBC__)
 #include <malloc.h>
 #endif
-#if defined(__linux__)
-#include <sys/resource.h>
-#include <sys/wait.h>
-#include <unistd.h>
-#endif
 #include <numbers>
 #include <string>
 #include <thread>
@@ -260,16 +255,6 @@ struct SweepResult {
 // TN_BENCH_MAX_RSS_MB.
 double g_max_rss_mb = 0.0;
 
-double peak_rss_mb() {
-#if defined(__linux__)
-  rusage u{};
-  getrusage(RUSAGE_SELF, &u);
-  return static_cast<double>(u.ru_maxrss) / 1024.0;  // ru_maxrss is KiB
-#else
-  return 0.0;
-#endif
-}
-
 struct SweepKernel {
   const char* name;
   // Runs the kernel once and returns an output checksum. `theta` is the
@@ -360,7 +345,7 @@ SweepResult measure_in_process(const SweepKernel& k, const topo::Deployment& d,
     if (r == 0 || ms < best_ms) best_ms = ms;
   }
   return {k.name,  n,      threads,       best_ms, checksum,
-          queries, points, peak_rss_mb(), true};
+          queries, points, bench::peak_rss_mb(), true};
 }
 
 // Measure one sweep entry in a forked child so every entry sees a pristine
@@ -368,87 +353,33 @@ SweepResult measure_in_process(const SweepKernel& k, const topo::Deployment& d,
 // allocation pattern contaminates successors — measured at ~25% on the
 // n=10k interference kernels (small-n rounds fragment the heap; large
 // transient buffers then land on scattered 4 KiB pages instead of fresh
-// mappings). The child runs the kernel and ships (ms, checksum, scan
-// counters) back over a pipe; the deployment and graph are shared
-// copy-on-write and never written. The parent stays pool-free (the sweep
-// runs before the google-benchmark suite and parent-side code is pinned to
-// one thread), so the child can spawn its own worker pool safely. Falls
-// back to in-process measurement if fork isn't available.
+// mappings). The child ships its SweepResult back whole: `kernel` points
+// at a static name, valid in both processes. The sweep runs before the
+// google-benchmark suite with parent-side code pinned to one thread, so
+// the parent is pool-free as run_in_child requires.
 SweepResult time_kernel(const SweepKernel& k, const topo::Deployment& d,
                         const graph::Graph& theta, std::size_t n,
                         int threads) {
-#if defined(__linux__)
-  struct Payload {
-    double ms;
-    std::uint64_t checksum;
-    std::uint64_t queries;
-    std::uint64_t points;
-    double rss_mb;
+  const auto measure = [&] {
+    return measure_in_process(k, d, theta, n, threads);
   };
-  int fds[2];
-  if (pipe(fds) == 0) {
-    const pid_t pid = fork();
-    if (pid == 0) {
-      close(fds[0]);
-      if (g_max_rss_mb > 0.0) {
-        // Backstop against a prediction miss: cap the child's address
-        // space far above the RSS budget (reserve-heavy kernels map much
-        // more than they touch) so runaway allocation dies with bad_alloc
-        // in the child instead of summoning the system OOM killer.
-        const auto cap = static_cast<rlim_t>(
-            (g_max_rss_mb * 4.0 + 4096.0) * 1024.0 * 1024.0);
-        rlimit rl{cap, cap};
-        setrlimit(RLIMIT_AS, &rl);
-      }
-      const SweepResult r = measure_in_process(k, d, theta, n, threads);
-      const Payload p{r.ms, r.checksum, r.grid_queries, r.grid_points,
-                      r.rss_mb};
-      const char* src = reinterpret_cast<const char*>(&p);
-      std::size_t sent = 0;
-      while (sent < sizeof p) {
-        const ssize_t w = write(fds[1], src + sent, sizeof p - sent);
-        if (w <= 0) break;
-        sent += static_cast<std::size_t>(w);
-      }
-      _exit(0);  // no destructors: the pool must not be torn down twice
-    }
-    if (pid > 0) {
-      close(fds[1]);
-      Payload p{};
-      char* dst = reinterpret_cast<char*>(&p);
-      std::size_t got = 0;
-      while (got < sizeof p) {
-        const ssize_t r = read(fds[0], dst + got, sizeof p - got);
-        if (r <= 0) break;
-        got += static_cast<std::size_t>(r);
-      }
-      close(fds[0]);
-      int status = 0;
-      waitpid(pid, &status, 0);
-      if (got == sizeof p && WIFEXITED(status) && WEXITSTATUS(status) == 0)
-        return {k.name,    n,        threads, p.ms,     p.checksum,
-                p.queries, p.points, p.rss_mb, true};
-      if (g_max_rss_mb > 0.0) {
-        // Under a memory budget a dead child means the backstop fired:
-        // report the entry as skipped, do NOT re-run in-process (that
-        // would hand the runaway allocation to the parent).
-        std::fprintf(stderr,
-                     "sweep: child for %s n=%zu threads=%d died under the "
-                     "%.0f MB budget backstop; skipping\n",
-                     k.name, n, threads, g_max_rss_mb);
-        return {k.name, n, threads, 0.0, 0, 0, 0, 0.0, false};
-      }
-      std::fprintf(stderr,
-                   "sweep: child for %s n=%zu threads=%d failed; "
-                   "measuring in-process\n",
-                   k.name, n, threads);
-    } else {
-      close(fds[0]);
-      close(fds[1]);
-    }
+  if (const auto r = bench::run_in_child<SweepResult>(g_max_rss_mb, measure))
+    return *r;
+  if (g_max_rss_mb > 0.0) {
+    // Under a memory budget a dead child means the backstop fired: report
+    // the entry as skipped, do NOT re-run in-process (that would hand the
+    // runaway allocation to the parent).
+    std::fprintf(stderr,
+                 "sweep: child for %s n=%zu threads=%d died under the "
+                 "%.0f MB budget backstop; skipping\n",
+                 k.name, n, threads, g_max_rss_mb);
+    return {k.name, n, threads, 0.0, 0, 0, 0, 0.0, false};
   }
-#endif
-  return measure_in_process(k, d, theta, n, threads);
+  std::fprintf(stderr,
+               "sweep: child for %s n=%zu threads=%d failed; "
+               "measuring in-process\n",
+               k.name, n, threads);
+  return measure();
 }
 
 // Cost of the compiled-in telemetry at its runtime default (recording on)

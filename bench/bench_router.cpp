@@ -8,9 +8,7 @@
 //   * engine "soa"       — the production sustained-load path
 //                          (plan_all_edges_into: active-node candidate scan,
 //                          deduplicated and ordered by a per-edge bitmap
-//                          sweep);
-//   * engine "soa_dense" — plan_into over every edge (the parallelizable
-//                          dense scan; the thread sweep runs here);
+//                          sweep; the thread sweep runs here);
 //   * engine "reference" — the pre-SoA map-of-vectors oracle
 //                          (routing/reference_router.h), measured at matched
 //                          workload so speedup_vs_reference is apples to
@@ -30,7 +28,7 @@
 // which bench_compare gates for flatness as n grows (the constant
 // per-node control-bandwidth claim of ROADMAP item 2).
 //
-// Each entry is timed in a forked child (same isolation rationale as
+// Each entry is timed in a forked child (bench::run_in_child, shared with
 // bench_kernels: allocator state must not leak across entries; an RLIMIT_AS
 // backstop catches runaway allocation under --max-rss-mb).
 //
@@ -38,7 +36,7 @@
 // memory-budget and telemetry byte-identity tests):
 //
 //   bench_router --single [--workload poisson|bursty|hotspot|adversarial]
-//     [--engine soa|soa_dense|reference] [--n N] [--rate R] [--rounds K]
+//     [--engine soa|reference] [--n N] [--rate R] [--rounds K]
 //     [--window W] [--sources S] [--dests D] [--threshold T] [--gamma G]
 //     [--max-height H] [--seed S] [--telemetry FILE] [--max-rss-mb MB]
 //     [--rlimit-as-mb MB] [--check-flat-rss]
@@ -54,18 +52,15 @@
 #include <cstdlib>
 #include <cstring>
 #include <numbers>
+#include <optional>
 #include <string>
 #include <vector>
 
 #if defined(__GLIBC__)
 #include <malloc.h>
 #endif
-#if defined(__linux__)
-#include <sys/resource.h>
-#include <sys/wait.h>
-#include <unistd.h>
-#endif
 
+#include "common.h"
 #include "common/parallel.h"
 #include "core/balancing_router.h"
 #include "core/quantized_router.h"
@@ -82,17 +77,8 @@
 namespace {
 
 using namespace thetanet;
+using bench::peak_rss_mb;
 constexpr double kTheta = std::numbers::pi / 9.0;
-
-double peak_rss_mb() {
-#if defined(__linux__)
-  rusage u{};
-  getrusage(RUSAGE_SELF, &u);
-  return static_cast<double>(u.ru_maxrss) / 1024.0;  // ru_maxrss is KiB
-#else
-  return 0.0;
-#endif
-}
 
 struct Fnv {
   std::uint64_t h = 1469598103934665603ull;
@@ -109,12 +95,11 @@ struct Fnv {
   }
 };
 
-enum class Engine { kSoa, kSoaDense, kReference };
+enum class Engine { kSoa, kReference };
 
 const char* engine_name(Engine e) {
   switch (e) {
     case Engine::kSoa: return "soa";
-    case Engine::kSoaDense: return "soa_dense";
     case Engine::kReference: return "reference";
   }
   return "?";
@@ -171,7 +156,7 @@ SimOut run_sim(const graph::Graph& g, const RunConfig& cfg) {
   std::vector<double> costs(g.num_edges());
   for (graph::EdgeId e = 0; e < costs.size(); ++e) costs[e] = g.edge(e).cost;
   std::vector<graph::EdgeId> all_edges;
-  if (cfg.engine != Engine::kSoa || cfg.quantum >= 1) {
+  if (cfg.engine == Engine::kReference || cfg.quantum >= 1) {
     all_edges.resize(g.num_edges());
     for (graph::EdgeId e = 0; e < all_edges.size(); ++e) all_edges[e] = e;
   }
@@ -223,11 +208,7 @@ SimOut run_sim(const graph::Graph& g, const RunConfig& cfg) {
     std::vector<core::PlannedTx> txs;
     for (std::uint64_t t = 0; t < cfg.rounds; ++t) {
       const auto now = static_cast<route::Time>(t);
-      if (cfg.engine == Engine::kSoa) {
-        router.plan_all_edges_into(g, costs, txs);
-      } else {
-        router.plan_into(g, all_edges, costs, txs);
-      }
+      router.plan_all_edges_into(g, costs, txs);
       mix_txs(f, txs);
       router.execute(txs, no_failures, costs, now, m);
       engine.step(now, m, arrivals);
@@ -274,62 +255,22 @@ bool rss_flat(const SimOut& r) {
 }
 
 /// Run one entry in a forked child (pristine allocator, RLIMIT_AS backstop
-/// under a budget); falls back to in-process without fork support.
-SimOut time_entry(const graph::Graph& g, const RunConfig& cfg, bool* ok) {
-  *ok = true;
-#if defined(__linux__)
-  int fds[2];
-  if (pipe(fds) == 0) {
-    const pid_t pid = fork();
-    if (pid == 0) {
-      close(fds[0]);
-      if (g_max_rss_mb > 0.0) {
-        const auto cap = static_cast<rlim_t>(
-            (g_max_rss_mb * 4.0 + 4096.0) * 1024.0 * 1024.0);
-        rlimit rl{cap, cap};
-        setrlimit(RLIMIT_AS, &rl);
-      }
+/// under a budget); nullopt when the child died, so the entry is skipped.
+std::optional<SimOut> time_entry(const graph::Graph& g, const RunConfig& cfg) {
+  const std::optional<SimOut> r =
+      bench::run_in_child<SimOut>(g_max_rss_mb, [&] {
 #if defined(__GLIBC__)
-      malloc_trim(0);
+        malloc_trim(0);
 #endif
-      const SimOut r = run_sim(g, cfg);
-      const char* src = reinterpret_cast<const char*>(&r);
-      std::size_t sent = 0;
-      while (sent < sizeof r) {
-        const ssize_t w = write(fds[1], src + sent, sizeof r - sent);
-        if (w <= 0) break;
-        sent += static_cast<std::size_t>(w);
-      }
-      _exit(0);  // no destructors: the pool must not be torn down twice
-    }
-    if (pid > 0) {
-      close(fds[1]);
-      SimOut r{};
-      char* dst = reinterpret_cast<char*>(&r);
-      std::size_t got = 0;
-      while (got < sizeof r) {
-        const ssize_t n = read(fds[0], dst + got, sizeof r - got);
-        if (n <= 0) break;
-        got += static_cast<std::size_t>(n);
-      }
-      close(fds[0]);
-      int status = 0;
-      waitpid(pid, &status, 0);
-      if (got == sizeof r && WIFEXITED(status) && WEXITSTATUS(status) == 0)
-        return r;
-      std::fprintf(stderr,
-                   "bench_router: child for %s/%s n=%zu died%s; skipping\n",
-                   route::injection_process_name(cfg.spec.process),
-                   engine_name(cfg.engine), g.num_nodes(),
-                   g_max_rss_mb > 0.0 ? " (RSS budget backstop?)" : "");
-      *ok = false;
-      return {};
-    }
-    close(fds[0]);
-    close(fds[1]);
-  }
-#endif
-  return run_sim(g, cfg);
+        return run_sim(g, cfg);
+      });
+  if (!r)
+    std::fprintf(stderr,
+                 "bench_router: child for %s/%s n=%zu died%s; skipping\n",
+                 route::injection_process_name(cfg.spec.process),
+                 engine_name(cfg.engine), g.num_nodes(),
+                 g_max_rss_mb > 0.0 ? " (RSS budget backstop?)" : "");
+  return r;
 }
 
 std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
@@ -416,17 +357,16 @@ int run_matrix() {
     g.neighbors(0);  // force the adjacency build outside the timed children
 
     for (const P p : processes) {
-      for (const Engine eng :
-           {Engine::kSoa, Engine::kSoaDense, Engine::kReference}) {
+      for (const Engine eng : {Engine::kSoa, Engine::kReference}) {
         Entry e;
         e.n = n;
         e.cfg.spec = workload_spec(p, n);
         e.cfg.engine = eng;
         e.cfg.rounds = base_rounds;
         e.cfg.threads = 1;
-        bool ok = true;
-        e.r = time_entry(g, e.cfg, &ok);
-        if (!ok) continue;
+        const std::optional<SimOut> r = time_entry(g, e.cfg);
+        if (!r) continue;
+        e.r = *r;
         std::printf(
             "router %-11s %-9s n=%-7zu rounds=%-8llu %10.2f ms  "
             "%9.0f rounds/s  rss %7.1f MB\n",
@@ -447,44 +387,41 @@ int run_matrix() {
         return nullptr;
       };
       const Entry* soa = find(Engine::kSoa);
-      const Entry* dense = find(Engine::kSoaDense);
       const Entry* ref = find(Engine::kReference);
-      for (const Entry* fast : {soa, dense})
-        if (fast != nullptr && ref != nullptr &&
-            fast->r.checksum != ref->r.checksum) {
-          reference_match = false;
-          std::fprintf(stderr,
-                       "REFERENCE MISMATCH: %s/%s n=%zu plans diverge from "
-                       "the oracle\n",
-                       route::injection_process_name(p),
-                       engine_name(fast->cfg.engine), n);
-        }
+      if (soa != nullptr && ref != nullptr &&
+          soa->r.checksum != ref->r.checksum) {
+        reference_match = false;
+        std::fprintf(stderr,
+                     "REFERENCE MISMATCH: %s/soa n=%zu plans diverge from "
+                     "the oracle\n",
+                     route::injection_process_name(p), n);
+      }
     }
 
-    // Cross-thread bit-identity on the dense (parallelizable) scan.
+    // Cross-thread bit-identity of the production engine.
     std::uint64_t baseline = 0;
     bool have_baseline = false;
     for (const int threads : {1, 2, 4}) {
       Entry e;
       e.n = n;
       e.cfg.spec = workload_spec(P::kPoisson, n);
-      e.cfg.engine = Engine::kSoaDense;
+      e.cfg.engine = Engine::kSoa;
       e.cfg.rounds = std::max<std::uint64_t>(1, base_rounds / 4);
       e.cfg.threads = threads;
-      bool ok = true;
-      e.r = time_entry(g, e.cfg, &ok);
-      if (!ok) continue;
+      const std::optional<SimOut> r = time_entry(g, e.cfg);
+      if (!r) continue;
+      e.r = *r;
       if (!have_baseline) {
         baseline = e.r.checksum;
         have_baseline = true;
       } else if (e.r.checksum != baseline) {
         all_identical = false;
         std::fprintf(stderr,
-                     "DETERMINISM VIOLATION: poisson/soa_dense n=%zu "
+                     "DETERMINISM VIOLATION: poisson/soa n=%zu "
                      "threads=%d\n",
                      n, threads);
       }
-      std::printf("router poisson     soa_dense n=%-7zu threads=%d  %10.2f ms\n",
+      std::printf("router poisson     soa       n=%-7zu threads=%d  %10.2f ms\n",
                   n, threads, e.r.ms);
       entries.push_back(e);
     }
@@ -494,24 +431,21 @@ int run_matrix() {
     {
       RunConfig cfg;
       cfg.spec = workload_spec(P::kPoisson, n);
-      cfg.engine = Engine::kSoaDense;
       cfg.rounds = base_rounds;
       cfg.threads = 1;
       cfg.quantum = 2;
-      bool ok = true;
-      const SimOut r = time_entry(g, cfg, &ok);
-      if (ok) {
+      if (const std::optional<SimOut> r = time_entry(g, cfg)) {
         control_rows.push_back(
-            {n, cfg.quantum, r.rounds, r.control_messages, r.control_bytes});
+            {n, cfg.quantum, r->rounds, r->control_messages, r->control_bytes});
         const double per_node_round =
-            static_cast<double>(r.control_bytes) /
-            (static_cast<double>(n) * static_cast<double>(r.rounds));
+            static_cast<double>(r->control_bytes) /
+            (static_cast<double>(n) * static_cast<double>(r->rounds));
         std::printf(
             "router control     quantized n=%-7zu rounds=%-8llu "
             "%llu msgs  %llu bytes  %.4f bytes/node/round\n",
-            n, static_cast<unsigned long long>(r.rounds),
-            static_cast<unsigned long long>(r.control_messages),
-            static_cast<unsigned long long>(r.control_bytes), per_node_round);
+            n, static_cast<unsigned long long>(r->rounds),
+            static_cast<unsigned long long>(r->control_messages),
+            static_cast<unsigned long long>(r->control_bytes), per_node_round);
         std::fflush(stdout);
       }
     }
@@ -532,9 +466,8 @@ int run_matrix() {
     e.cfg.rounds = accept_rounds;
     e.cfg.threads = 1;
     e.accept = true;
-    bool ok = true;
-    e.r = time_entry(tt.graph(), e.cfg, &ok);
-    if (ok) {
+    if (const std::optional<SimOut> r = time_entry(tt.graph(), e.cfg)) {
+      e.r = *r;
       std::printf(
           "router sustained   soa       n=%-7zu rounds=%-8llu %10.2f ms  "
           "rss %7.1f MB (warm %.1f) %s\n",
@@ -683,7 +616,6 @@ int run_single(int argc, char** argv) {
       }
     } else if (val("--engine")) {
       if (std::strcmp(v, "soa") == 0) cfg.engine = Engine::kSoa;
-      else if (std::strcmp(v, "soa_dense") == 0) cfg.engine = Engine::kSoaDense;
       else if (std::strcmp(v, "reference") == 0) cfg.engine = Engine::kReference;
       else {
         std::fprintf(stderr, "bench_router: unknown engine '%s'\n", v);

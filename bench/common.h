@@ -1,13 +1,22 @@
 #pragma once
 // Shared scaffolding for the experiment harness (bench_e*). Every binary
 // prints one or more tables via sim::Table; EXPERIMENTS.md documents the
-// paper claim each table validates and the shape expected.
+// paper claim each table validates and the shape expected. The sweep
+// benchmarks (bench_kernels, bench_router) also share the forked-child
+// measurement harness below.
 
 #include <cmath>
 #include <cstdio>
-#include <iostream>
 #include <numbers>
+#include <optional>
 #include <string>
+#include <type_traits>
+
+#if defined(__linux__)
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
+#endif
 
 #include "geom/rng.h"
 #include "obs/metrics.h"
@@ -50,6 +59,77 @@ class TelemetryProbe {
     return obs::MetricsRegistry::global().counter_value(name);
   }
 };
+
+/// Peak resident set size of the calling process in MB (0 where
+/// getrusage is unavailable).
+inline double peak_rss_mb() {
+#if defined(__linux__)
+  rusage u{};
+  getrusage(RUSAGE_SELF, &u);
+  return static_cast<double>(u.ru_maxrss) / 1024.0;  // ru_maxrss is KiB
+#else
+  return 0.0;
+#endif
+}
+
+/// Runs `measure` in a forked child and ships its Payload back over a pipe,
+/// so each measurement starts from a pristine allocator and its peak RSS is
+/// its own. Inputs are shared copy-on-write. The parent must be pool-free
+/// (pinned to one thread) so the child can spawn its own worker pool. Under
+/// a budget (`max_rss_mb` > 0) the child's address space is capped far above
+/// it (reserve-heavy code maps much more than it touches), so runaway
+/// allocation dies with bad_alloc in the child instead of summoning the
+/// system OOM killer. Returns nullopt when the child dies or ships a short
+/// payload; the caller decides whether to skip or re-run in-process. Where
+/// fork is unsupported or pipe/fork fails, runs `measure` in-process.
+template <typename Payload, typename Measure>
+std::optional<Payload> run_in_child(double max_rss_mb, Measure&& measure) {
+  static_assert(std::is_trivially_copyable_v<Payload>);
+#if defined(__linux__)
+  int fds[2];
+  if (pipe(fds) == 0) {
+    const pid_t pid = fork();
+    if (pid == 0) {
+      close(fds[0]);
+      if (max_rss_mb > 0.0) {
+        const auto cap = static_cast<rlim_t>(
+            (max_rss_mb * 4.0 + 4096.0) * 1024.0 * 1024.0);
+        rlimit rl{cap, cap};
+        setrlimit(RLIMIT_AS, &rl);
+      }
+      const Payload p = measure();
+      const char* src = reinterpret_cast<const char*>(&p);
+      std::size_t sent = 0;
+      while (sent < sizeof p) {
+        const ssize_t w = write(fds[1], src + sent, sizeof p - sent);
+        if (w <= 0) break;
+        sent += static_cast<std::size_t>(w);
+      }
+      _exit(0);  // no destructors: the pool must not be torn down twice
+    }
+    if (pid > 0) {
+      close(fds[1]);
+      Payload p{};
+      char* dst = reinterpret_cast<char*>(&p);
+      std::size_t got = 0;
+      while (got < sizeof p) {
+        const ssize_t r = read(fds[0], dst + got, sizeof p - got);
+        if (r <= 0) break;
+        got += static_cast<std::size_t>(r);
+      }
+      close(fds[0]);
+      int status = 0;
+      waitpid(pid, &status, 0);
+      if (got == sizeof p && WIFEXITED(status) && WEXITSTATUS(status) == 0)
+        return p;
+      return std::nullopt;
+    }
+    close(fds[0]);
+    close(fds[1]);
+  }
+#endif
+  return measure();
+}
 
 inline void print_header(const char* experiment, const char* claim) {
   std::printf("###############################################################\n");

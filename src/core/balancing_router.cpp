@@ -4,7 +4,6 @@
 #include <bit>
 
 #include "common/assert.h"
-#include "common/parallel.h"
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
 
@@ -13,14 +12,6 @@ namespace thetanet::core {
 using route::DestId;
 using route::Packet;
 using route::RunMetrics;
-
-namespace {
-
-// Parallelize the plan edge scan only when the work amortizes the pool
-// handoff; below this the serial path is faster and equally deterministic.
-constexpr std::size_t kParallelPlanEdges = 4096;
-
-}  // namespace
 
 BalancingParams theorem31_params(const route::OptStats& opt, double eps,
                                  double delta) {
@@ -70,7 +61,8 @@ std::optional<PlannedTx> BalancingRouter::best_for_pair(graph::NodeId from,
 }
 
 void BalancingRouter::eval_edge(const graph::Graph& topo, graph::EdgeId e,
-                                double cost, PlannedTx* slot) const {
+                                double cost,
+                                std::vector<PlannedTx>& out) const {
   const graph::NodeId u = topo.edge_u(e);
   const graph::NodeId v = topo.edge_v(e);
   // One merged scan covers both orientations: h_u > 0 feeds the forward
@@ -109,11 +101,9 @@ void BalancingRouter::eval_edge(const graph::Graph& topo, graph::EdgeId e,
   // One packet per edge per step, in the better direction (forward wins
   // ties, matching the historical fwd/bwd evaluation order).
   if (have_f && (!have_b || best_f >= best_b)) {
-    *slot = PlannedTx{e, u, v, dest_f, best_f};
+    out.push_back(PlannedTx{e, u, v, dest_f, best_f});
   } else if (have_b) {
-    *slot = PlannedTx{e, v, u, dest_b, best_b};
-  } else {
-    slot->edge = graph::kInvalidEdge;
+    out.push_back(PlannedTx{e, v, u, dest_b, best_b});
   }
 }
 
@@ -122,23 +112,7 @@ void BalancingRouter::plan_into(const graph::Graph& topo,
                                 std::span<const double> costs,
                                 std::vector<PlannedTx>& out) const {
   out.clear();
-  if (slots_.size() < active.size()) slots_.resize(active.size());
-  const auto eval_range = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      const graph::EdgeId e = active[i];
-      eval_edge(topo, e, costs[e], &slots_[i]);
-    }
-  };
-  // Per-index slots make the parallel scan write-disjoint; the serial
-  // compaction below reads them in ascending edge order, so the resulting
-  // plan is bit-identical for every TN_NUM_THREADS (PR 1 contract).
-  if (active.size() >= kParallelPlanEdges && tn::num_threads() > 1) {
-    tn::parallel_for(active.size(), /*grain=*/0, eval_range);
-  } else {
-    eval_range(0, active.size());
-  }
-  for (std::size_t i = 0; i < active.size(); ++i)
-    if (slots_[i].edge != graph::kInvalidEdge) out.push_back(slots_[i]);
+  for (const graph::EdgeId e : active) eval_edge(topo, e, costs[e], out);
   TN_OBS_COUNT("router.planned_tx", out.size());
   TN_OBS_SERIES_ADD("router.active_edges", round_, active.size());
 }

@@ -17,9 +17,8 @@
 // report back which planned transmissions the medium actually carried.
 //
 // The step loop is allocation-free at steady state: `plan_into` evaluates
-// edges into caller-owned / reusable scratch (parallelized over edges with
-// per-index slots compacted in edge order, so the plan is bit-identical for
-// any TN_NUM_THREADS — the PR 1 contract), `execute` stages in-air packets
+// edges serially in `active` order into a caller-owned vector (so the plan
+// is bit-identical for any TN_NUM_THREADS), `execute` stages in-air packets
 // in a member scratch vector, and the sparse entry point
 // `plan_all_edges_into` derives the candidate edge set from the buffer
 // bank's active nodes instead of scanning every edge of a large graph. That
@@ -106,10 +105,8 @@ class BalancingRouter {
 
   /// Allocation-free plan: evaluates `active` edges into `out` (cleared,
   /// then filled in ascending `active` order — reuse `out` across rounds to
-  /// amortize its capacity away). The edge scan runs under tn::parallel_for
-  /// when large enough; per-edge results land in index-addressed slots and
-  /// are compacted serially in edge order, so the planned transmissions are
-  /// bit-identical for every TN_NUM_THREADS value.
+  /// amortize its capacity away). One serial scan, so the planned
+  /// transmissions are bit-identical for every TN_NUM_THREADS value.
   void plan_into(const graph::Graph& topo,
                  std::span<const graph::EdgeId> active,
                  std::span<const double> costs,
@@ -162,9 +159,9 @@ class BalancingRouter {
 
  private:
   // Both orientations of one edge in a single merged buffer scan; the
-  // winning direction (or a kInvalidEdge sentinel) lands in *slot.
+  // winning direction, if any, is appended to `out`.
   void eval_edge(const graph::Graph& topo, graph::EdgeId e, double cost,
-                 PlannedTx* slot) const;
+                 std::vector<PlannedTx>& out) const;
 
   bool is_destination(graph::NodeId v, route::DestId d) const {
     return is_dest_ ? is_dest_(v, d) : v == d;
@@ -174,16 +171,13 @@ class BalancingRouter {
   route::BufferBank buffers_;
   DestinationPredicate is_dest_;
   std::uint64_t round_ = 0;
-  // Reusable scratch (plan slots, candidate edges, the candidate bitmap,
-  // in-air staging). Mutable: plan is logically const; scratch reuse
-  // is what makes the steady-state loop allocation-free. Not thread-safe
-  // across router instances sharing nothing — each slot_ index is written
-  // by exactly one parallel chunk.
+  // Reusable scratch (candidate edges, the candidate bitmap, in-air
+  // staging). Mutable: plan is logically const; scratch reuse is what
+  // makes the steady-state loop allocation-free. Not thread-safe.
   struct InAir {
     route::Packet p;
     graph::NodeId to;
   };
-  mutable std::vector<PlannedTx> slots_;
   mutable std::vector<graph::EdgeId> candidates_;
   // One bit per edge of the last topology seen, all zero between calls
   // (the sweep clears every word it reads), and the indices of the words

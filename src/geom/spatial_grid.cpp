@@ -82,17 +82,6 @@ std::size_t SpatialGrid::cell_index(std::int32_t cx, std::int32_t cy) const {
          static_cast<std::size_t>(cx);
 }
 
-bool SpatialGrid::for_each_within_until(
-    Vec2 center, double radius, const std::function<bool(NodeId)>& visit) const {
-  return for_each_within_until(center, radius,
-                               [&](NodeId id) { return visit(id); });
-}
-
-void SpatialGrid::for_each_within(
-    Vec2 center, double radius, const std::function<void(NodeId)>& visit) const {
-  for_each_within(center, radius, [&](NodeId id) { visit(id); });
-}
-
 std::vector<SpatialGrid::NodeId> SpatialGrid::within(Vec2 center, double radius,
                                                      NodeId exclude) const {
   std::vector<NodeId> out;

@@ -5,20 +5,14 @@
 // and Poisson-disk generation. Queries are O(points in the queried disk)
 // when the cell size matches the query radius.
 //
-// The visitor entry points come in two flavours:
-//   * header-only templates (`for_each_within(center, r, Visitor&&)` and
-//     `for_each_within_until`) — zero-overhead fast path: the visitor is
-//     inlined into the cell scan, no std::function construction, no
-//     indirect call per point. All hot loops use these (a lambda argument
-//     selects the template automatically).
-//   * `std::function` overloads with the same names — thin wrappers over
-//     the templates kept for ABI-stable callers (out-of-line, defined in
-//     spatial_grid.cpp).
+// The visitor entry points (`for_each_within`, `for_each_within_until`,
+// `for_each_within_two`) are header-only templates: the visitor is inlined
+// into the cell scan, with no std::function construction and no indirect
+// call per point.
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <type_traits>
 #include <vector>
@@ -170,13 +164,6 @@ class SpatialGrid {
     record_scan(e, examined, hits);
     return true;
   }
-
-  /// ABI-stable wrappers over the templates (indirect call per point; keep
-  /// for callers that store visitors as std::function).
-  void for_each_within(Vec2 center, double radius,
-                       const std::function<void(NodeId)>& visit) const;
-  bool for_each_within_until(Vec2 center, double radius,
-                             const std::function<bool(NodeId)>& visit) const;
 
   /// Nearest point to `center` excluding `exclude`; kNone when empty.
   NodeId nearest(Vec2 center, NodeId exclude = kNone) const;

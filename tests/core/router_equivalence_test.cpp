@@ -1,5 +1,5 @@
 // Oracle equivalence for the SoA routing hot path: the production
-// BalancingRouter (dense plan, sparse active-node plan, parallel edge scan)
+// BalancingRouter (dense plan, sparse active-node plan, large edge scans)
 // must plan the exact same transmissions, round for round, as the
 // brute-force map-based ReferenceRouter — across workloads, gamma settings
 // and TN_NUM_THREADS in {1, 2, 4} (the PR 1 bit-identity contract).
@@ -210,9 +210,8 @@ TEST(RouterEquivalence, SmallGraphOracleAndThreads) {
   tn::set_num_threads(saved);
 }
 
-// Dense enough that plan_into's edge scan actually crosses the parallel
-// threshold (>= 4096 active edges), so the multi-thread runs exercise the
-// pool rather than the serial fallback.
+// The determinism contract on a large scan (>= 4096 active edges): the plan
+// must not depend on TN_NUM_THREADS, and must match the oracle at each.
 TEST(RouterEquivalence, ParallelPlanPathBitIdentical) {
   geom::Rng rng(0xfeed);
   const graph::Graph g = random_graph(160, 0.45, rng);

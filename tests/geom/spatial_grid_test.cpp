@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <functional>
 #include <limits>
 
 #include "geom/rng.h"
@@ -130,26 +129,6 @@ TEST(SpatialGrid, QueryRadiusLargerThanDomain) {
   const std::vector<Vec2> pts = random_points(64, rng);
   const SpatialGrid grid(pts, 0.05);
   EXPECT_EQ(grid.within({0.5, 0.5}, 10.0).size(), 64U);
-}
-
-TEST(SpatialGrid, TemplateAndFunctionOverloadsAgree) {
-  Rng rng(107);
-  const std::vector<Vec2> pts = random_points(150, rng);
-  const SpatialGrid grid(pts, 0.12);
-  for (int q = 0; q < 50; ++q) {
-    const Vec2 c{rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)};
-    const double r = rng.uniform(0.02, 0.4);
-    std::vector<std::uint32_t> from_template;
-    grid.for_each_within(c, r, [&](std::uint32_t id) {
-      from_template.push_back(id);  // lambda argument -> template fast path
-    });
-    std::vector<std::uint32_t> from_function;
-    const std::function<void(std::uint32_t)> fn = [&](std::uint32_t id) {
-      from_function.push_back(id);
-    };
-    grid.for_each_within(c, r, fn);  // std::function lvalue -> ABI wrapper
-    ASSERT_EQ(from_template, from_function) << "query " << q;
-  }
 }
 
 TEST(SpatialGrid, ForEachWithinTwoMatchesUnionOfDisks) {

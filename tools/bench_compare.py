@@ -16,7 +16,7 @@ Three schemas are understood, detected from the document's "schema" field:
     benchmark's headline number, so it is gated directly, not only via ms),
     and any fresh entry reporting "rss_flat": false with a peak RSS above
     the noise floor FAILS (the sustained loop must hold a flat footprint
-    after warm-up). A fresh "reference_plans_match": false (the SoA engines
+    after warm-up). A fresh "reference_plans_match": false (the SoA engine
     diverged from the brute-force oracle) also fails.
     A router document may also carry a "control_plane" section (the
     quantized router's advertise/retire ledger across the node sweep).
