@@ -40,7 +40,8 @@ route::AdversaryTrace make_trace(const graph::Graph& topo, geom::Rng& rng,
     // Adversarial twist: keep the schedules' slots (OPT unchanged) but also
     // activate a random 10% of all edges each step — capacity a pinned-path
     // router cannot exploit unless the edges happen to lie on its paths.
-    for (auto& step : trace.steps) {
+    for (route::Time t = 0; t < trace.horizon(); ++t) {
+      route::StepSpec& step = trace.steps.edit(t);
       const std::size_t extra = topo.num_edges() / 10;
       for (std::size_t i = 0; i < extra; ++i)
         step.active.push_back(static_cast<graph::EdgeId>(
@@ -185,7 +186,7 @@ int main() {
     for (graph::EdgeId e = 0; e < n_graph.num_edges(); ++e)
       dead[e] = kill_rng.bernoulli(0.25);
     for (route::Time t = t_fail; t < trace.horizon(); ++t) {
-      auto& act = trace.steps[t].active;
+      auto& act = trace.steps.edit(t).active;
       act.erase(std::remove_if(act.begin(), act.end(),
                                [&](graph::EdgeId e) { return dead[e]; }),
                 act.end());
@@ -195,10 +196,12 @@ int main() {
     // edges): 15000 injection-free steps cycling the post-failure pattern.
     {
       const route::Time h = trace.horizon();
+      trace.steps.resize(h + 15000);
       for (route::Time k = 0; k < 15000; ++k) {
-        route::StepSpec s;
-        s.active = trace.steps[t_fail + (k % (h - t_fail))].active;
-        trace.steps.push_back(std::move(s));
+        // Copy first: edit() may move the step being copied from.
+        std::vector<graph::EdgeId> act =
+            trace.steps[t_fail + (k % (h - t_fail))].active;
+        trace.steps.edit(h + k).active = std::move(act);
       }
     }
     // Surviving OPT: certificates whose post-failure hops avoid dead edges.

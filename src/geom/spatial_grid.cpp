@@ -23,17 +23,22 @@ SpatialGrid::SpatialGrid(std::span<const Vec2> points, double cell_size)
   // Cap the table at O(points) cells: a caller-supplied cell far smaller
   // than the bounding box (edge-length-driven sizing on a degenerate
   // layout) would otherwise allocate width/cell * height/cell entries.
-  const auto dims = [&](double cell) {
-    const auto nx = std::max<std::int64_t>(
-        1, static_cast<std::int64_t>(std::floor(box_.width() / cell)) + 1);
-    const auto ny = std::max<std::int64_t>(
-        1, static_cast<std::int64_t>(std::floor(box_.height() / cell)) + 1);
-    return std::pair<std::int64_t, std::int64_t>{nx, ny};
-  };
   const std::int64_t max_cells =
       std::max<std::int64_t>(1024, 8 * static_cast<std::int64_t>(points_.size()));
+  // Cells along one side, saturated at max_cells + 1: past the cap a count
+  // only means "grow the cell", and saturating keeps the conversion to
+  // int64 in range however small the cell is.
+  const auto cells_along = [&](double extent, double cell) {
+    const double k = std::floor(extent / cell);
+    if (k >= static_cast<double>(max_cells)) return max_cells + 1;
+    return std::max<std::int64_t>(1, static_cast<std::int64_t>(k) + 1);
+  };
+  const auto dims = [&](double cell) {
+    return std::pair<std::int64_t, std::int64_t>{
+        cells_along(box_.width(), cell), cells_along(box_.height(), cell)};
+  };
   auto [nx, ny] = dims(cell_);
-  while (nx * ny > max_cells) {
+  while (nx > max_cells / ny) {  // nx * ny > max_cells, without overflow
     cell_ *= 2.0;
     std::tie(nx, ny) = dims(cell_);
   }

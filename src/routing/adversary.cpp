@@ -2,12 +2,38 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
 #include <set>
 
 #include "common/assert.h"
 #include "graph/shortest_paths.h"
 
 namespace thetanet::route {
+
+void StepTable::resize(std::size_t size) {
+  TN_ASSERT_MSG(size >= index_.size(), "a step table never shrinks");
+  index_.resize(size, 0);
+}
+
+StepSpec& StepTable::edit(Time t) {
+  TN_ASSERT(t < index_.size());
+  std::uint32_t& slot = index_[t];
+  if (slot == 0) {
+    slot = static_cast<std::uint32_t>(stored_.size());
+    stored_.emplace_back();
+    times_.push_back(t);
+  }
+  return stored_[slot];
+}
+
+std::vector<std::uint32_t> StepTable::slots_by_time() const {
+  std::vector<std::uint32_t> slots(stored());
+  std::iota(slots.begin(), slots.end(), 1U);
+  std::sort(slots.begin(), slots.end(), [&](std::uint32_t a, std::uint32_t b) {
+    return times_[a] < times_[b];
+  });
+  return slots;
+}
 
 std::vector<double> AdversaryTrace::costs_at(Time t) const {
   TN_ASSERT(topology != nullptr);
@@ -101,40 +127,48 @@ AdversaryTrace make_certified_trace(const graph::Graph& topo,
       Injection inj;
       inj.packet = Packet{next_packet_id++, s, d, t, 0.0, 0};
       inj.schedule = std::move(sched);
-      trace.steps[t].injections.push_back(std::move(inj));
+      trace.steps.edit(t).injections.push_back(std::move(inj));
     }
   }
 
-  // Active edge sets: exactly the reserved slots, plus optional noise.
-  for (graph::EdgeId e = 0; e < reserved.size(); ++e)
-    for (const Time slot : reserved[e]) trace.steps[slot].active.push_back(e);
+  // Active edge sets: optional noise, plus exactly the reserved slots.
   if (params.extra_active_fraction > 0.0 && topo.num_edges() > 0) {
     const auto extras = static_cast<std::size_t>(
         params.extra_active_fraction * static_cast<double>(topo.num_edges()));
-    for (Time t = 0; t < total; ++t)
-      for (std::size_t i = 0; i < extras; ++i)
-        trace.steps[t].active.push_back(
-            static_cast<graph::EdgeId>(rng.uniform_index(topo.num_edges())));
+    if (extras > 0)
+      for (Time t = 0; t < total; ++t) {
+        std::vector<graph::EdgeId>& active = trace.steps.edit(t).active;
+        for (std::size_t i = 0; i < extras; ++i)
+          active.push_back(
+              static_cast<graph::EdgeId>(rng.uniform_index(topo.num_edges())));
+      }
   }
-  for (auto& step : trace.steps) {
-    std::sort(step.active.begin(), step.active.end());
-    step.active.erase(std::unique(step.active.begin(), step.active.end()),
-                      step.active.end());
-  }
+  detail::activate_booked_slots(trace, reserved);
 
   // Per-step cost jitter (the adversary's prerogative to change edge costs).
   if (params.cost_jitter_pct > 0) {
     const double j = static_cast<double>(params.cost_jitter_pct) / 100.0;
-    for (auto& step : trace.steps) {
+    trace.steps.for_each_stored([&](StepSpec& step) {
       step.cost_overrides.reserve(step.active.size());
       for (const graph::EdgeId e : step.active)
         step.cost_overrides.emplace_back(
             e, topo.edge(e).cost * (1.0 + rng.uniform(-j, j)));
-    }
+    });
   }
 
   trace.opt = replay_schedules(trace);
   return trace;
+}
+
+void detail::activate_booked_slots(
+    AdversaryTrace& trace, const std::vector<std::set<Time>>& reserved) {
+  for (graph::EdgeId e = 0; e < reserved.size(); ++e)
+    for (const Time slot : reserved[e]) trace.steps.edit(slot).active.push_back(e);
+  trace.steps.for_each_stored([](StepSpec& step) {
+    std::sort(step.active.begin(), step.active.end());
+    step.active.erase(std::unique(step.active.begin(), step.active.end()),
+                      step.active.end());
+  });
 }
 
 OptStats replay_schedules(const AdversaryTrace& trace) {
@@ -159,7 +193,7 @@ OptStats replay_schedules(const AdversaryTrace& trace) {
   };
 
   std::size_t total_hops = 0;
-  for (const StepSpec& step : trace.steps) {
+  trace.steps.for_each_stored([&](const StepSpec& step) {
     for (const Injection& inj : step.injections) {
       const Schedule& s = inj.schedule;
       TN_ASSERT_MSG(!s.hops.empty(), "certified schedule must reach its destination");
@@ -190,7 +224,7 @@ OptStats replay_schedules(const AdversaryTrace& trace) {
       total_hops += s.hops.size();
       opt.makespan = std::max(opt.makespan, prev);
     }
-  }
+  });
 
   for (auto& [key, evs] : events) {
     std::sort(evs.begin(), evs.end());

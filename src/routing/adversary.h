@@ -14,7 +14,9 @@
 // the optimal throughput, average cost and buffer requirement of the trace
 // known exactly by construction (see DESIGN.md, "OPT surrogates").
 
+#include <cstddef>
 #include <cstdint>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -53,9 +55,74 @@ struct OptStats {
   Time makespan = 0;            ///< last delivery time
 };
 
+/// The steps of a trace, stored sparsely. Most steps of a certified trace
+/// carry nothing (1-15% carry an injection or an active edge in the
+/// perfbench workloads), so each step is a 4-byte index into a table that
+/// holds only the steps with content; index 0 is one shared empty step.
+/// Reading step t is two loads, with no branch and no allocation.
+///
+/// Reads look like a `const std::vector<StepSpec>`: `steps[t]`, `size()`,
+/// `empty()` and range-for over every step in t order. The only way to
+/// change a step is `edit(t)`, so no reader materialises steps by accident.
+class StepTable {
+ public:
+  /// Walks the step index in t order (what range-for needs, no more).
+  class const_iterator {
+   public:
+    const_iterator(const std::uint32_t* at, const StepSpec* stored)
+        : at_(at), stored_(stored) {}
+    const StepSpec& operator*() const { return stored_[*at_]; }
+    const_iterator& operator++() {
+      ++at_;
+      return *this;
+    }
+    bool operator==(const const_iterator& o) const { return at_ == o.at_; }
+
+   private:
+    const std::uint32_t* at_;
+    const StepSpec* stored_;
+  };
+
+  std::size_t size() const { return index_.size(); }
+  bool empty() const { return index_.empty(); }
+  const StepSpec& operator[](std::size_t t) const { return stored_[index_[t]]; }
+  const_iterator begin() const { return {index_.data(), stored_.data()}; }
+  const_iterator end() const {
+    return {index_.data() + index_.size(), stored_.data()};
+  }
+
+  /// Appends empty steps up to `size` steps. A table never shrinks.
+  void resize(std::size_t size);
+
+  /// Step t for writing; stores it first if it was empty. The reference,
+  /// and any reference from operator[], is valid until the next edit().
+  StepSpec& edit(Time t);
+
+  /// Number of steps stored (those ever passed to edit()).
+  std::size_t stored() const { return stored_.size() - 1; }
+
+  /// Calls f(step) for every stored step in increasing t. Empty steps are
+  /// skipped, so a pass costs O(stored steps), not O(size()).
+  template <class F>
+  void for_each_stored(F&& f) {
+    for (const std::uint32_t i : slots_by_time()) f(stored_[i]);
+  }
+  template <class F>
+  void for_each_stored(F&& f) const {
+    for (const std::uint32_t i : slots_by_time()) f(stored_[i]);
+  }
+
+ private:
+  std::vector<std::uint32_t> slots_by_time() const;
+
+  std::vector<std::uint32_t> index_;             ///< per step: slot in stored_
+  std::vector<StepSpec> stored_ = {StepSpec{}};  ///< slot 0: the empty step
+  std::vector<Time> times_ = {0};                ///< per slot: its step t
+};
+
 struct AdversaryTrace {
   const graph::Graph* topology = nullptr;  ///< edge id space for the trace
-  std::vector<StepSpec> steps;
+  StepTable steps;
   OptStats opt;  ///< filled by the certified generators / replay
 
   Time horizon() const { return static_cast<Time>(steps.size()); }
@@ -97,6 +164,17 @@ struct TraceParams {
 /// trace's OptStats are exact.
 AdversaryTrace make_certified_trace(const graph::Graph& topo,
                                     const TraceParams& params, geom::Rng& rng);
+
+namespace detail {
+
+/// Make every slot booked in `reserved` (edge id -> booked steps) active at
+/// its step, then sort and deduplicate each stored step's active set. The
+/// post-pass shared by the certified generators; O(edges + booked slots +
+/// stored steps).
+void activate_booked_slots(AdversaryTrace& trace,
+                           const std::vector<std::set<Time>>& reserved);
+
+}  // namespace detail
 
 /// Replay the schedules of a trace and recompute its OptStats (also used as
 /// an independent audit that generated schedules are conflict-free).

@@ -130,16 +130,10 @@ AdversaryTrace make_anycast_trace(const graph::Graph& topo,
       Injection inj;
       inj.packet = Packet{next_packet_id++, s, g, t, 0.0, 0};
       inj.schedule = std::move(sched);
-      trace.steps[t].injections.push_back(std::move(inj));
+      trace.steps.edit(t).injections.push_back(std::move(inj));
     }
   }
-  for (graph::EdgeId e = 0; e < reserved.size(); ++e)
-    for (const Time slot : reserved[e]) trace.steps[slot].active.push_back(e);
-  for (auto& step : trace.steps) {
-    std::sort(step.active.begin(), step.active.end());
-    step.active.erase(std::unique(step.active.begin(), step.active.end()),
-                      step.active.end());
-  }
+  detail::activate_booked_slots(trace, reserved);
   trace.opt = replay_anycast_schedules(trace, groups);
   return trace;
 }
@@ -151,7 +145,7 @@ OptStats replay_anycast_schedules(const AdversaryTrace& trace,
   OptStats opt;
   std::set<std::pair<graph::EdgeId, Time>> used;
   std::size_t total_hops = 0;
-  for (const StepSpec& step : trace.steps) {
+  trace.steps.for_each_stored([&](const StepSpec& step) {
     for (const Injection& inj : step.injections) {
       const Schedule& s = inj.schedule;
       TN_ASSERT(!s.hops.empty());
@@ -174,7 +168,7 @@ OptStats replay_anycast_schedules(const AdversaryTrace& trace,
       total_hops += s.hops.size();
       opt.makespan = std::max(opt.makespan, prev);
     }
-  }
+  });
   if (opt.deliveries > 0) {
     opt.avg_cost = opt.total_cost / static_cast<double>(opt.deliveries);
     opt.avg_path_length =
@@ -183,7 +177,7 @@ OptStats replay_anycast_schedules(const AdversaryTrace& trace,
   // Buffer accounting mirrors the unicast replay.
   std::map<std::pair<graph::NodeId, DestId>, std::vector<std::pair<Time, int>>>
       events;
-  for (const StepSpec& step : trace.steps) {
+  trace.steps.for_each_stored([&](const StepSpec& step) {
     for (const Injection& inj : step.injections) {
       graph::NodeId at = inj.packet.src;
       Time prev = inj.schedule.t0;
@@ -194,7 +188,7 @@ OptStats replay_anycast_schedules(const AdversaryTrace& trace,
         prev = ti;
       }
     }
-  }
+  });
   for (auto& [key, evs] : events) {
     std::sort(evs.begin(), evs.end());
     long h = 0;

@@ -197,20 +197,23 @@ TEST(SpatialGrid, CellCountCappedOnDegenerateInput) {
   // Near-coincident cluster plus one far outlier: a cell sized for the
   // cluster spacing would need ~1e16 cells across the bounding box. The
   // constructor must grow the cell instead of allocating that table, and
-  // queries must stay exact.
+  // queries must stay exact. A 1e-16 cell puts width / cell (1e20) past the
+  // int64 range as well.
   std::vector<Vec2> pts;
   Rng rng(109);
   for (int i = 0; i < 100; ++i)
     pts.push_back({rng.uniform(0.0, 1e-4), rng.uniform(0.0, 1e-4)});
   pts.push_back({1e4, 1e4});
-  const SpatialGrid grid(pts, 1e-6);
-  EXPECT_GT(grid.cell_size(), 1e-6);  // cap engaged
-  EXPECT_EQ(grid.within({0.0, 0.0}, 1.0).size(), 100U);
-  EXPECT_EQ(grid.within({1e4, 1e4}, 1.0), std::vector<std::uint32_t>{100});
-  for (int q = 0; q < 40; ++q) {
-    const Vec2 c{rng.uniform(0.0, 1e-4), rng.uniform(0.0, 1e-4)};
-    const double r = rng.uniform(1e-6, 2e-4);
-    ASSERT_EQ(grid.within(c, r), brute_within(pts, c, r, SpatialGrid::kNone));
+  for (const double cell : {1e-6, 1e-16}) {
+    const SpatialGrid grid(pts, cell);
+    EXPECT_GT(grid.cell_size(), cell);  // cap engaged
+    EXPECT_EQ(grid.within({0.0, 0.0}, 1.0).size(), 100U);
+    EXPECT_EQ(grid.within({1e4, 1e4}, 1.0), std::vector<std::uint32_t>{100});
+    for (int q = 0; q < 40; ++q) {
+      const Vec2 c{rng.uniform(0.0, 1e-4), rng.uniform(0.0, 1e-4)};
+      const double r = rng.uniform(1e-6, 2e-4);
+      ASSERT_EQ(grid.within(c, r), brute_within(pts, c, r, SpatialGrid::kNone));
+    }
   }
 }
 

@@ -135,7 +135,7 @@ TEST(CertifiedAdversary, CostsAtAppliesOverrides) {
   AdversaryTrace trace;
   trace.topology = &topo;
   trace.steps.resize(2);
-  trace.steps[1].cost_overrides.push_back({0, 9.0});
+  trace.steps.edit(1).cost_overrides.push_back({0, 9.0});
   const auto c0 = trace.costs_at(0);
   EXPECT_DOUBLE_EQ(c0[0], 1.0);
   EXPECT_DOUBLE_EQ(c0[1], 4.0);

@@ -44,7 +44,8 @@ TEST(GreedyGeographic, DeliversOnDenseGraphWithAllEdgesActive) {
   geom::Rng rng(22);
   AdversaryTrace trace = dense_trace(f.topo, rng, 2000, 0.5);
   // Override: all edges active each step (dedicated MAC).
-  for (auto& step : trace.steps) {
+  for (Time t = 0; t < trace.steps.size(); ++t) {
+    StepSpec& step = trace.steps.edit(t);
     step.active.resize(f.topo.num_edges());
     for (graph::EdgeId e = 0; e < f.topo.num_edges(); ++e) step.active[e] = e;
   }
@@ -79,7 +80,8 @@ TEST(GreedyGeographic, LocalMinimumDropsOnConcaveTopology) {
   AdversaryTrace trace;
   trace.topology = &g;
   trace.steps.resize(200);
-  for (auto& s : trace.steps) s.active = {0, 1, 2, 3};
+  for (Time t = 0; t < trace.steps.size(); ++t)
+    trace.steps.edit(t).active = {0, 1, 2, 3};
   // Inject 10 packets 0 -> 4 with dummy-but-valid schedules via the detour.
   for (Time t = 0; t < 10; ++t) {
     Injection inj;
@@ -88,7 +90,7 @@ TEST(GreedyGeographic, LocalMinimumDropsOnConcaveTopology) {
     inj.schedule.hops = {{1, static_cast<Time>(20 * t + 1)},
                          {2, static_cast<Time>(20 * t + 2)},
                          {3, static_cast<Time>(20 * t + 3)}};
-    trace.steps[t].injections.push_back(inj);
+    trace.steps.edit(t).injections.push_back(inj);
   }
   trace.opt = replay_schedules(trace);
   ASSERT_EQ(trace.opt.deliveries, 10U);
@@ -134,7 +136,8 @@ TEST(SourceRouting, HopMetricTakesFewerHops) {
   const Fixture f(27, 80, 0.5);
   geom::Rng rng(28);
   AdversaryTrace trace = dense_trace(f.topo, rng, 2000, 0.5);
-  for (auto& step : trace.steps) {
+  for (Time t = 0; t < trace.steps.size(); ++t) {
+    StepSpec& step = trace.steps.edit(t);
     step.active.resize(f.topo.num_edges());
     for (graph::EdgeId e = 0; e < f.topo.num_edges(); ++e) step.active[e] = e;
   }

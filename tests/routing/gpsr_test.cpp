@@ -17,12 +17,13 @@ AdversaryTrace all_active_trace(const graph::Graph& topo,
   AdversaryTrace trace;
   trace.topology = &topo;
   trace.steps.resize(horizon);
-  for (auto& step : trace.steps) {
+  for (Time t = 0; t < horizon; ++t) {
+    StepSpec& step = trace.steps.edit(t);
     step.active.resize(topo.num_edges());
     for (graph::EdgeId e = 0; e < topo.num_edges(); ++e) step.active[e] = e;
   }
   for (auto& inj : injections)
-    trace.steps[inj.schedule.t0].injections.push_back(std::move(inj));
+    trace.steps.edit(inj.schedule.t0).injections.push_back(std::move(inj));
   trace.opt = replay_schedules(trace);
   return trace;
 }
@@ -144,7 +145,8 @@ TEST(Gpsr, UnreachableDestinationIsDroppedNotLooped) {
   AdversaryTrace trace;
   trace.topology = &g;
   trace.steps.resize(200);
-  for (auto& step : trace.steps) {
+  for (Time t = 0; t < trace.steps.size(); ++t) {
+    StepSpec& step = trace.steps.edit(t);
     step.active.resize(g.num_edges());
     for (graph::EdgeId e = 0; e < g.num_edges(); ++e) step.active[e] = e;
   }
@@ -153,7 +155,7 @@ TEST(Gpsr, UnreachableDestinationIsDroppedNotLooped) {
   i.schedule.t0 = 0;
   // Fabricate a (never-replayed) schedule; bypass replay by setting opt
   // manually: this trace exists only to drive the router.
-  trace.steps[0].injections.push_back(i);
+  trace.steps.edit(0).injections.push_back(i);
   trace.opt.deliveries = 1;
 
   const GpsrResult res = run_gpsr(trace, d, g, g, 16, 0);

@@ -28,12 +28,12 @@ struct Tiny {
     g.add_edge(0, 1, 1.0, 2.0);  // base cost 2
     trace.topology = &g;
     trace.steps.resize(horizon);
-    for (auto& s : trace.steps) s.active = {0};
+    for (Time t = 0; t < horizon; ++t) trace.steps.edit(t).active = {0};
     Injection inj;
     inj.packet = Packet{1, 0, 1, 0, 0.0, 0};
     inj.schedule.t0 = 0;
     inj.schedule.hops = {{0, 1}};
-    trace.steps[0].injections.push_back(inj);
+    trace.steps.edit(0).injections.push_back(inj);
     trace.opt = route::replay_schedules(trace);
   }
 };
@@ -42,7 +42,7 @@ TEST(ScenarioEdge, CostOverrideIsChargedAndRestored) {
   Tiny w;
   // Override the edge cost to 10 in step 1 (when the packet moves: injected
   // at step 0 end, transmitted at step 1).
-  w.trace.steps[1].cost_overrides.push_back({0, 10.0});
+  w.trace.steps.edit(1).cost_overrides.push_back({0, 10.0});
   w.trace.opt = route::replay_schedules(w.trace);  // re-audit with override
   const core::BalancingParams params{0.5, 0.0, 8};
   const auto res = run_mac_given(w.trace, params, 0);
@@ -70,13 +70,13 @@ TEST(ScenarioEdge, DrainCyclesTheActivationPattern) {
   AdversaryTrace trace;
   trace.topology = &g;
   trace.steps.resize(2);
-  trace.steps[1].active = {0};
+  trace.steps.edit(1).active = {0};
   Injection inj;
   inj.packet = Packet{1, 0, 1, 1, 0.0, 0};
   inj.schedule.t0 = 1;
   // No certified schedule needed for this mechanical test; set opt by hand.
   inj.schedule.hops = {};  // replay not invoked
-  trace.steps[1].injections.push_back(inj);
+  trace.steps.edit(1).injections.push_back(inj);
   trace.opt.deliveries = 1;
 
   const core::BalancingParams params{0.5, 0.0, 8};

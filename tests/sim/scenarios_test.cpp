@@ -104,10 +104,10 @@ TEST(MacGivenScenario, CostAwareBeatsCostBlindOnEnergy) {
     inj.packet = route::Packet{t + 1, 0, 3, t, 0.0, 0};
     inj.schedule.t0 = t;
     inj.schedule.hops = {{0, t + 1}, {1, t + 2}, {2, t + 3}};
-    trace.steps[t].injections.push_back(inj);
+    trace.steps.edit(t).injections.push_back(inj);
   }
   for (route::Time t = 0; t < horizon; ++t)
-    trace.steps[t].active = {0, 1, 2, 3};
+    trace.steps.edit(t).active = {0, 1, 2, 3};
   trace.opt = route::replay_schedules(trace);
   ASSERT_GT(trace.opt.deliveries, 1000U);
 
