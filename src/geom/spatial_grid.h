@@ -196,19 +196,13 @@ class SpatialGrid {
   // counters are stable across thread counts.
   void record_scan(const Extent& e, std::uint64_t examined,
                    std::uint64_t reported) const {
-    if constexpr (obs::kTelemetryCompiled) {
-      if (!obs::detail::recording()) return;
-      const auto cells = static_cast<std::uint64_t>(e.x_hi - e.x_lo + 1) *
-                         static_cast<std::uint64_t>(e.y_hi - e.y_lo + 1);
-      TN_OBS_COUNT("grid.queries", 1);
-      TN_OBS_COUNT("grid.cells_scanned", cells);
-      TN_OBS_COUNT("grid.points_examined", examined);
-      TN_OBS_COUNT("grid.reported", reported);
-    } else {
-      (void)e;
-      (void)examined;
-      (void)reported;
-    }
+    if (!obs::detail::recording()) return;
+    const auto cells = static_cast<std::uint64_t>(e.x_hi - e.x_lo + 1) *
+                       static_cast<std::uint64_t>(e.y_hi - e.y_lo + 1);
+    TN_OBS_COUNT("grid.queries", 1);
+    TN_OBS_COUNT("grid.cells_scanned", cells);
+    TN_OBS_COUNT("grid.points_examined", examined);
+    TN_OBS_COUNT("grid.reported", reported);
   }
 
   std::span<const Vec2> points_;

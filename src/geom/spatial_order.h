@@ -54,13 +54,11 @@ class SpatialOrder {
   std::uint32_t to_orig(std::uint32_t sorted_id) const {
     return to_orig_[sorted_id];
   }
-  std::span<const std::uint32_t> to_orig_map() const { return to_orig_; }
 
   /// Original id -> sorted index.
   std::uint32_t to_sorted(std::uint32_t orig_id) const {
     return to_sorted_[orig_id];
   }
-  std::span<const std::uint32_t> to_sorted_map() const { return to_sorted_; }
 
   /// True when the permutation is the identity (toggle off or trivial n).
   bool identity() const { return identity_; }

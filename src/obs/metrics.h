@@ -24,10 +24,9 @@
 // exposing count/min/max/sum plus p50/p99 estimated as the upper bound of
 // the bucket holding the quantile rank — all integers, all deterministic.
 //
-// Instrumentation sites use the TN_OBS_* macros (metrics_macros section
-// below); configuring with -DTHETANET_TELEMETRY=OFF defines
-// THETANET_TELEMETRY_DISABLED and compiles them to no-ops. The registry API
-// itself is always compiled, so mixed-mode TUs still link.
+// Instrumentation sites use the TN_OBS_* macros below; with recording off
+// (obs::set_recording(false) or TN_TELEMETRY=0) every one of them returns
+// before touching a shard.
 
 #include <array>
 #include <atomic>
@@ -38,12 +37,6 @@
 #include <vector>
 
 namespace thetanet::obs {
-
-#if defined(THETANET_TELEMETRY_DISABLED)
-inline constexpr bool kTelemetryCompiled = false;
-#else
-inline constexpr bool kTelemetryCompiled = true;
-#endif
 
 /// Stability class declared at registration and carried into snapshots.
 enum class Stability : std::uint8_t {
@@ -109,10 +102,9 @@ inline bool recording() {
 
 }  // namespace detail
 
-/// Enable/disable metric recording at runtime (spans honour it too). The
-/// compile-time OFF switch removes the instrumentation entirely; this one
-/// just makes recorded sites early-return, which is what the telemetry
-/// overhead bench compares against.
+/// Enable/disable metric recording at runtime (spans and series honour it
+/// too). With recording off every instrumented site early-returns, which is
+/// what the telemetry overhead bench compares against.
 void set_recording(bool on);
 
 /// A registered monotonic counter. Construction registers (or looks up) the
@@ -202,10 +194,7 @@ class MetricsRegistry {
 };
 
 // ---------------------------------------------------------------------------
-// Instrumentation macros. These are the only pieces removed by
-// THETANET_TELEMETRY_DISABLED; the API above always exists.
-
-#if !defined(THETANET_TELEMETRY_DISABLED)
+// Instrumentation macros.
 
 /// Add `delta` to the stable counter `name` (a string literal).
 #define TN_OBS_COUNT(name, delta)                                 \
@@ -237,26 +226,5 @@ class MetricsRegistry {
         name, ::thetanet::obs::Stability::kTiming};               \
     tn_obs_dist_.record(static_cast<std::uint64_t>(value));       \
   } while (0)
-
-#else  // THETANET_TELEMETRY_DISABLED
-
-#define TN_OBS_COUNT(name, delta) \
-  do {                            \
-    (void)sizeof(delta);          \
-  } while (0)
-#define TN_OBS_COUNT_TIMING(name, delta) \
-  do {                                   \
-    (void)sizeof(delta);                 \
-  } while (0)
-#define TN_OBS_RECORD(name, value) \
-  do {                             \
-    (void)sizeof(value);           \
-  } while (0)
-#define TN_OBS_RECORD_TIMING(name, value) \
-  do {                                    \
-    (void)sizeof(value);                  \
-  } while (0)
-
-#endif  // THETANET_TELEMETRY_DISABLED
 
 }  // namespace thetanet::obs

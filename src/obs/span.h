@@ -81,20 +81,10 @@ class Span {
   std::chrono::steady_clock::time_point start_{};
 };
 
-#if !defined(THETANET_TELEMETRY_DISABLED)
-
 #define TN_OBS_SPAN_CAT2(a, b) a##b
 #define TN_OBS_SPAN_CAT(a, b) TN_OBS_SPAN_CAT2(a, b)
 /// Open a span for the rest of the enclosing scope.
 #define TN_OBS_SPAN(name) \
   ::thetanet::obs::Span TN_OBS_SPAN_CAT(tn_obs_span_, __LINE__) { name }
-
-#else
-
-#define TN_OBS_SPAN(name) \
-  do {                    \
-  } while (0)
-
-#endif  // THETANET_TELEMETRY_DISABLED
 
 }  // namespace thetanet::obs

@@ -89,9 +89,6 @@ class StreamFolder {
   /// shrinking stride, malformed points, an unknown agg/kind.
   bool fold(const ParsedFrame& frame, std::string* error);
 
-  /// Frames folded so far (the expected next sequence number).
-  std::uint64_t frames_folded() const { return next_seq_; }
-
   /// The reconstructed cumulative state, as a snapshot or as the canonical
   /// /2 document.
   TelemetrySnapshot snapshot() const;

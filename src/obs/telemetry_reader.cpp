@@ -293,8 +293,7 @@ bool extract(const JsonValue& root, ParsedTelemetry& out, std::string* error) {
   if (schema_it == doc.end() || !schema_it->second.is_string())
     return shape_fail(error, "missing 'schema' string");
   out.schema = schema_it->second.string();
-  if (out.schema != "thetanet-telemetry/1" &&
-      out.schema != "thetanet-telemetry/2")
+  if (out.schema != "thetanet-telemetry/2")
     return shape_fail(error, "unsupported schema '" + out.schema + "'");
 
   const auto counters_it = doc.find("counters");
@@ -327,32 +326,32 @@ bool extract(const JsonValue& root, ParsedTelemetry& out, std::string* error) {
     out.distributions[name] = d;
   }
 
-  if (const auto it = doc.find("series");
-      it != doc.end() && it->second.is_object()) {
-    for (const auto& [name, v] : it->second.object()) {
-      if (!v.is_object())
-        return shape_fail(error, "series '" + name + "' is not an object");
-      const JsonObject& o = v.object();
-      ParsedSeries s;
-      if (const auto f = o.find("agg"); f != o.end() && f->second.is_string())
-        s.agg = f->second.string();
-      if (const auto f = o.find("kind"); f != o.end() && f->second.is_string())
-        s.kind = f->second.string();
-      if (const auto f = o.find("stride"); f != o.end())
-        s.stride = as_u64(f->second);
-      if (const auto f = o.find("rounds"); f != o.end())
-        s.rounds = as_u64(f->second);
-      const auto pts = o.find("points");
-      if (pts == o.end() || !pts->second.is_array())
-        return shape_fail(error, "series '" + name + "' has no points array");
-      for (const JsonValue& p : pts->second.array()) {
-        if (!p.is_number())
-          return shape_fail(error,
-                            "series '" + name + "' has a non-numeric point");
-        s.points.push_back(p.number());
-      }
-      out.series[name] = std::move(s);
+  const auto series_it = doc.find("series");
+  if (series_it == doc.end() || !series_it->second.is_object())
+    return shape_fail(error, "missing 'series' object");
+  for (const auto& [name, v] : series_it->second.object()) {
+    if (!v.is_object())
+      return shape_fail(error, "series '" + name + "' is not an object");
+    const JsonObject& o = v.object();
+    ParsedSeries s;
+    if (const auto f = o.find("agg"); f != o.end() && f->second.is_string())
+      s.agg = f->second.string();
+    if (const auto f = o.find("kind"); f != o.end() && f->second.is_string())
+      s.kind = f->second.string();
+    if (const auto f = o.find("stride"); f != o.end())
+      s.stride = as_u64(f->second);
+    if (const auto f = o.find("rounds"); f != o.end())
+      s.rounds = as_u64(f->second);
+    const auto pts = o.find("points");
+    if (pts == o.end() || !pts->second.is_array())
+      return shape_fail(error, "series '" + name + "' has no points array");
+    for (const JsonValue& p : pts->second.array()) {
+      if (!p.is_number())
+        return shape_fail(error,
+                          "series '" + name + "' has a non-numeric point");
+      s.points.push_back(p.number());
     }
+    out.series[name] = std::move(s);
   }
 
   if (const auto it = doc.find("spans");
@@ -559,18 +558,6 @@ std::optional<std::vector<ParsedFrame>> parse_telemetry_stream(
     pos = body_begin + nbytes;
   }
   return frames;
-}
-
-std::optional<std::vector<ParsedFrame>> load_telemetry_stream(
-    const std::string& path, std::string* error) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) {
-    if (error != nullptr) *error = "cannot open " + path;
-    return std::nullopt;
-  }
-  std::ostringstream ss;
-  ss << f.rdbuf();
-  return parse_telemetry_stream(ss.str(), error);
 }
 
 }  // namespace thetanet::obs

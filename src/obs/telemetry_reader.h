@@ -1,10 +1,10 @@
 #pragma once
-// Reader for telemetry dumps: parses a thetanet-telemetry/1 or /2 JSON
-// document (obs::write_telemetry_json output) back into plain structures,
-// so tools — the `thetanet_cli report` subcommand foremost — can ingest
-// dumps without a JSON dependency. The embedded parser handles the JSON
-// subset the sink emits (objects, arrays, strings, numbers, bools, null)
-// and is tolerant of extra keys, so future schema additions stay readable.
+// Reader for telemetry dumps: parses a thetanet-telemetry/2 JSON document
+// (obs::write_telemetry_json output) back into plain structures, so tools —
+// the `thetanet_cli report` subcommand foremost — can ingest dumps without
+// a JSON dependency. The embedded parser handles the JSON subset the sink
+// emits (objects, arrays, strings, numbers, bools, null) and is tolerant of
+// extra keys, so future schema additions stay readable.
 
 #include <cstdint>
 #include <map>
@@ -39,10 +39,10 @@ struct ParsedSpan {
 };
 
 struct ParsedTelemetry {
-  std::string schema;  ///< "thetanet-telemetry/1" or ".../2"
+  std::string schema;  ///< "thetanet-telemetry/2"
   std::map<std::string, std::uint64_t> counters;
   std::map<std::string, ParsedDistribution> distributions;
-  std::map<std::string, ParsedSeries> series;  ///< empty for /1 documents
+  std::map<std::string, ParsedSeries> series;
   std::vector<ParsedSpan> spans;
 };
 
@@ -93,9 +93,5 @@ std::optional<ParsedFrame> parse_stream_frame(const std::string& body,
 /// sequence numbers run 0, 1, 2, ... with no gaps.
 std::optional<std::vector<ParsedFrame>> parse_telemetry_stream(
     const std::string& text, std::string* error);
-
-/// Convenience: read the file, then parse_telemetry_stream.
-std::optional<std::vector<ParsedFrame>> load_telemetry_stream(
-    const std::string& path, std::string* error);
 
 }  // namespace thetanet::obs

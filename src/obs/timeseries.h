@@ -28,9 +28,7 @@
 // series are deterministic for a fixed seed when recorded from one logical
 // site per round — the repo's convention; see docs/observability.md.
 //
-// Instrumentation sites use the TN_OBS_SERIES_* macros below; configuring
-// with -DTHETANET_TELEMETRY=OFF compiles them to no-ops like the other
-// TN_OBS_* macros. The registry API is always compiled.
+// Instrumentation sites use the TN_OBS_SERIES_* macros below.
 
 #include <cstdint>
 #include <string>
@@ -128,9 +126,7 @@ class Series {
 };
 
 // ---------------------------------------------------------------------------
-// Instrumentation macros, compiled out under THETANET_TELEMETRY_DISABLED.
-
-#if !defined(THETANET_TELEMETRY_DISABLED)
+// Instrumentation macros.
 
 /// Add `delta` to round `round` of the u64 sum-series `name`.
 #define TN_OBS_SERIES_ADD(name, round, delta)                          \
@@ -161,25 +157,5 @@ class Series {
     tn_obs_series_.add_f64(static_cast<std::uint64_t>(round),          \
                            static_cast<double>(value));                \
   } while (0)
-
-#else  // THETANET_TELEMETRY_DISABLED
-
-#define TN_OBS_SERIES_ADD(name, round, delta) \
-  do {                                        \
-    (void)sizeof(round);                      \
-    (void)sizeof(delta);                      \
-  } while (0)
-#define TN_OBS_SERIES_MAX(name, round, value) \
-  do {                                        \
-    (void)sizeof(round);                      \
-    (void)sizeof(value);                      \
-  } while (0)
-#define TN_OBS_SERIES_ADD_F64(name, round, value) \
-  do {                                            \
-    (void)sizeof(round);                          \
-    (void)sizeof(value);                          \
-  } while (0)
-
-#endif  // THETANET_TELEMETRY_DISABLED
 
 }  // namespace thetanet::obs

@@ -182,60 +182,6 @@ std::string to_json(const TelemetrySnapshot& snap, bool include_timing) {
   return out;
 }
 
-namespace {
-
-void append_span_text(std::string& out, const SpanSnapshot& s, int depth) {
-  char line[160];
-  std::snprintf(line, sizeof line, "  %-*s%-*s %10llu %12.3f\n", depth * 2, "",
-                40 - depth * 2, s.name.c_str(),
-                static_cast<unsigned long long>(s.count),
-                static_cast<double>(s.wall_ns) / 1e6);
-  out += line;
-  for (const SpanSnapshot& c : s.children) append_span_text(out, c, depth + 1);
-}
-
-}  // namespace
-
-std::string to_text(const TelemetrySnapshot& snap) {
-  std::string out;
-  char line[160];
-  out += "counters\n";
-  for (const CounterSnapshot& c : snap.metrics.counters) {
-    std::snprintf(line, sizeof line, "  %-40s %14llu%s\n", c.name.c_str(),
-                  static_cast<unsigned long long>(c.value),
-                  c.stability == Stability::kTiming ? "  (timing)" : "");
-    out += line;
-  }
-  out += "distributions                              count        min        "
-         "max        p50        p99\n";
-  for (const DistributionSnapshot& d : snap.metrics.distributions) {
-    std::snprintf(line, sizeof line,
-                  "  %-40s %6llu %10llu %10llu %10llu %10llu%s\n",
-                  d.name.c_str(), static_cast<unsigned long long>(d.count),
-                  static_cast<unsigned long long>(d.min),
-                  static_cast<unsigned long long>(d.max),
-                  static_cast<unsigned long long>(d.p50),
-                  static_cast<unsigned long long>(d.p99),
-                  d.stability == Stability::kTiming ? "  (timing)" : "");
-    out += line;
-  }
-  out += "series                                      agg    rounds     stride"
-         "     points\n";
-  for (const SeriesSnapshot& s : snap.series) {
-    std::snprintf(line, sizeof line, "  %-40s %6s %10llu %10llu %10zu%s\n",
-                  s.name.c_str(), agg_name(s.agg),
-                  static_cast<unsigned long long>(s.rounds),
-                  static_cast<unsigned long long>(s.stride),
-                  s.kind == SeriesKind::kU64 ? s.upoints.size()
-                                             : s.fpoints.size(),
-                  s.stability == Stability::kTiming ? "  (timing)" : "");
-    out += line;
-  }
-  out += "spans                                           count      wall_ms\n";
-  for (const SpanSnapshot& s : snap.spans) append_span_text(out, s, 1);
-  return out;
-}
-
 bool write_telemetry_json(const std::string& path, bool include_timing) {
   std::ofstream f(path, std::ios::binary | std::ios::trunc);
   if (!f) return false;

@@ -1,6 +1,5 @@
 #pragma once
-// Serialization of the telemetry state: one stable JSON document plus a
-// compact text table.
+// Serialization of the telemetry state as one stable JSON document.
 //
 // JSON contract (schema "thetanet-telemetry/2"):
 //   * top-level and nested object keys are emitted in sorted order,
@@ -15,9 +14,9 @@
 //   * include_timing = true adds kTiming metrics and per-span "wall_ns";
 //     such dumps are for humans and profiling, never for diff tests.
 //
-// Schema history: /1 had no "series" section; /2 (this repo) adds it —
-// per-round time series from obs/timeseries.h. tools/telemetry_diff.py
-// consumes both.
+// "series" holds the per-round time series from obs/timeseries.h. The
+// reader (obs/telemetry_reader.h) and tools/telemetry_diff.py accept this
+// schema only.
 
 #include <string>
 #include <vector>
@@ -52,10 +51,6 @@ void append_span_json(std::string& out, const SpanSnapshot& s,
 /// Render the snapshot as the schema-versioned JSON document described
 /// above, terminated by a single newline.
 std::string to_json(const TelemetrySnapshot& snap, bool include_timing = false);
-
-/// Human-oriented fixed-width table: counters, distributions, then the span
-/// tree (with wall time in ms). Not covered by any stability contract.
-std::string to_text(const TelemetrySnapshot& snap);
 
 /// capture_telemetry() + to_json() + write to `path` (overwrites). Returns
 /// false (and writes nothing else) when the file cannot be opened.

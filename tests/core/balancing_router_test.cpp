@@ -320,8 +320,6 @@ TEST(CandidateEdges, RouterReusedAcrossTopologies) {
 }
 
 TEST(CandidateEdges, FrozenEdgesCountCandidatesThatPlanNothing) {
-  if (!obs::kTelemetryCompiled)
-    GTEST_SKIP() << "telemetry compiled out (THETANET_TELEMETRY=OFF)";
   obs::set_recording(true);
   geom::Rng rng(9);
   const graph::Graph g = graph_with_edges(48, 400, rng);

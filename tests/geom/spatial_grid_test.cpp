@@ -218,7 +218,6 @@ TEST(SpatialGrid, CellCountCappedOnDegenerateInput) {
 }
 
 TEST(SpatialGrid, ScanTelemetryCountsQueriesAndPoints) {
-  if (!obs::kTelemetryCompiled) GTEST_SKIP() << "telemetry compiled out";
   Rng rng(110);
   const std::vector<Vec2> pts = random_points(80, rng);
   const SpatialGrid grid(pts, 0.2);

@@ -28,8 +28,6 @@ namespace {
 class TelemetryPropertyTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    if (!obs::kTelemetryCompiled)
-      GTEST_SKIP() << "telemetry compiled out (THETANET_TELEMETRY=OFF)";
     obs::set_recording(true);
     obs::MetricsRegistry::global().reset();
     obs::SeriesRegistry::global().reset();

@@ -214,15 +214,13 @@ TEST_F(TimeseriesTest, MacrosRecordWhenEnabledAndHonourRecordingSwitch) {
   const auto all = SeriesRegistry::global().snapshot();
   const SeriesSnapshot* add_s = find(all, "t.macro_add");
   ASSERT_NE(add_s, nullptr);
-  if (kTelemetryCompiled) {
-    EXPECT_EQ(add_s->upoints, (std::vector<std::uint64_t>{4}));
-    const SeriesSnapshot* max_s = find(all, "t.macro_max");
-    ASSERT_NE(max_s, nullptr);
-    EXPECT_EQ(max_s->upoints, (std::vector<std::uint64_t>{7}));
-    const SeriesSnapshot* f_s = find(all, "t.macro_f64");
-    ASSERT_NE(f_s, nullptr);
-    EXPECT_EQ(f_s->fpoints, (std::vector<double>{2.5}));
-  }
+  EXPECT_EQ(add_s->upoints, (std::vector<std::uint64_t>{4}));
+  const SeriesSnapshot* max_s = find(all, "t.macro_max");
+  ASSERT_NE(max_s, nullptr);
+  EXPECT_EQ(max_s->upoints, (std::vector<std::uint64_t>{7}));
+  const SeriesSnapshot* f_s = find(all, "t.macro_f64");
+  ASSERT_NE(f_s, nullptr);
+  EXPECT_EQ(f_s->fpoints, (std::vector<double>{2.5}));
 }
 
 TEST_F(TimeseriesTest, SnapshotIsSortedByName) {

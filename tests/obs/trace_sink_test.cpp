@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 
@@ -124,17 +125,52 @@ TEST(TraceSink, StringsAreEscaped) {
   EXPECT_NE(doc.find(R"("weird\"name\\with\nstuff": 1)"), std::string::npos);
 }
 
-TEST(TraceSink, TextTableListsEverySection) {
-  const std::string text = to_text(sample_snapshot());
-  EXPECT_NE(text.find("counters"), std::string::npos);
-  EXPECT_NE(text.find("alpha.count"), std::string::npos);
-  EXPECT_NE(text.find("beta.count"), std::string::npos);
-  EXPECT_NE(text.find("(timing)"), std::string::npos);
-  EXPECT_NE(text.find("alpha.dist"), std::string::npos);
-  EXPECT_NE(text.find("alpha.series"), std::string::npos);
-  EXPECT_NE(text.find("beta.series"), std::string::npos);
-  EXPECT_NE(text.find("root"), std::string::npos);
-  EXPECT_NE(text.find("child"), std::string::npos);
+TEST(TraceSink, RecordingOffMacrosRecordNothing) {
+  // With recording off, every instrumentation macro must leave no counter
+  // value, distribution sample, series point or span.
+  MetricsRegistry::global().reset();
+  SeriesRegistry::global().reset();
+  reset_spans();
+  set_recording(false);
+  {
+    TN_OBS_SPAN("off.phase");
+    TN_OBS_COUNT("off.counter", 3);
+    TN_OBS_COUNT_TIMING("off.timing", 1);
+    TN_OBS_RECORD("off.dist", 42);
+    TN_OBS_RECORD_TIMING("off.dist_timing", 7);
+    TN_OBS_SERIES_ADD("off.series_add", 0, 5);
+    TN_OBS_SERIES_MAX("off.series_max", 1, 9);
+    TN_OBS_SERIES_ADD_F64("off.series_f64", 2, 1.5);
+  }
+  set_recording(true);
+
+  // Each site registers its name on first use, so every one is present in
+  // the snapshot and must read empty.
+  const TelemetrySnapshot snap = capture_telemetry();
+  const auto named = [](const auto& items, const std::string& name) {
+    const auto it = std::find_if(items.begin(), items.end(),
+                                 [&](const auto& x) { return x.name == name; });
+    return it == items.end() ? nullptr : &*it;
+  };
+  for (const char* name : {"off.counter", "off.timing"}) {
+    const CounterSnapshot* c = named(snap.metrics.counters, name);
+    ASSERT_NE(c, nullptr) << name;
+    EXPECT_EQ(c->value, 0U) << name;
+  }
+  for (const char* name : {"off.dist", "off.dist_timing"}) {
+    const DistributionSnapshot* d = named(snap.metrics.distributions, name);
+    ASSERT_NE(d, nullptr) << name;
+    EXPECT_EQ(d->count, 0U) << name;
+  }
+  for (const char* name :
+       {"off.series_add", "off.series_max", "off.series_f64"}) {
+    const SeriesSnapshot* ts = named(snap.series, name);
+    ASSERT_NE(ts, nullptr) << name;
+    EXPECT_EQ(ts->rounds, 0U) << name;
+    EXPECT_TRUE(ts->upoints.empty()) << name;
+    EXPECT_TRUE(ts->fpoints.empty()) << name;
+  }
+  EXPECT_TRUE(snap.spans.empty());
 }
 
 TEST(TraceSink, WriteTelemetryJsonRoundTrips) {

@@ -136,5 +136,30 @@ TEST(LocalRoute, MeasuredRatioIsThreadInvariant) {
   tn::set_num_threads(1);
 }
 
+TEST(LocalRoute, MeasuredRatioFinalizesAHandBuiltGraphBeforeTheSweep) {
+  // A graph whose adjacency was never built: the first neighbors() call
+  // would rebuild it lazily, so the parallel sweep must not be the first
+  // reader (under -DTHETANET_TSAN=ON this case is the race probe).
+  const topo::Deployment d = uniform_deployment(120, 0xdead, 0.3);
+  const graph::Graph finalized = topo::build_transmission_graph(d);
+  graph::Graph raw(d.size());
+  for (graph::EdgeId e = 0; e < finalized.num_edges(); ++e)
+    raw.add_edge(finalized.edge_u(e), finalized.edge_v(e),
+                 finalized.edge_length(e), finalized.edge_cost(e));
+  route::LocalRouteOptions lr;
+  lr.policy = route::LocalPolicy::kTheta;
+  tn::set_num_threads(4);
+  const route::RoutingRatioStats got =
+      route::measure_routing_ratio(raw, d, lr, 512, 3);
+  tn::set_num_threads(1);
+  const route::RoutingRatioStats base =
+      route::measure_routing_ratio(finalized, d, lr, 512, 3);
+  ASSERT_GT(base.pairs, 0u);
+  EXPECT_EQ(got.pairs, base.pairs);
+  EXPECT_EQ(got.delivered, base.delivered);
+  EXPECT_EQ(got.max_ratio, base.max_ratio);
+  EXPECT_EQ(got.mean_ratio, base.mean_ratio);
+}
+
 }  // namespace
 }  // namespace thetanet

@@ -7,17 +7,17 @@ Usage:
                       [--allow-growth PCT]
 
 Compares the counter, distribution, and series sections of two
-`thetanet-telemetry/1` or `/2` documents. A counter REGRESSES when its
+`thetanet-telemetry/2` documents. A counter REGRESSES when its
 fresh value exceeds the baseline by more than --allow-growth percent
 (default 0: any increase fails) — counters here measure *work* (cells
 scanned, points examined, pairs emitted, transmissions), so growth means
 the code got more expensive on the same input. Counters that shrink or
 disappear are reported informationally; new counters are informational too
 (new instrumentation is not a regression). Distributions compare on
-count/max/sum/p50/p99 under the same rule. Series (/2 documents) compare
-on the peak point value and, for sum-aggregated series, the total across
-points; a series whose agg or kind changed between dumps is a regression
-(one name, one meaning). Span wall times are never compared (timing is
+count/max/sum/p50/p99 under the same rule. Series compare on the peak
+point value and, for sum-aggregated series, the total across points; a
+series whose agg or kind changed between dumps is a regression (one name,
+one meaning). Span wall times are never compared (timing is
 excluded from deterministic dumps by design); span structure differences
 are informational.
 
@@ -58,7 +58,7 @@ import sys
 if hasattr(signal, "SIGPIPE"):
     signal.signal(signal.SIGPIPE, signal.SIG_DFL)
 
-SCHEMAS = ("thetanet-telemetry/1", "thetanet-telemetry/2")
+SCHEMA = "thetanet-telemetry/2"
 
 # Counters where the value measures survival, not work: shrinking (or newly
 # appearing, when the baseline never emitted it) is the regression.
@@ -92,8 +92,8 @@ def validate(doc, path):
     if not isinstance(doc, dict):
         malformed(path, f"top level is {type(doc).__name__}, expected object")
     schema = doc.get("schema")
-    if schema not in SCHEMAS:
-        malformed(path, f"schema is {schema!r}, expected one of {SCHEMAS!r}")
+    if schema != SCHEMA:
+        malformed(path, f"schema is {schema!r}, expected {SCHEMA!r}")
     counters = doc.get("counters")
     if not isinstance(counters, dict):
         malformed(path, "missing or non-object 'counters' section")
@@ -111,8 +111,8 @@ def validate(doc, path):
             if not isinstance(v, int) or isinstance(v, bool):
                 malformed(path, f"distribution {name!r} field {field!r} "
                                 f"has non-integer value {v!r}")
-    series = doc.get("series", {})
-    if schema == SCHEMAS[1] and not isinstance(series, dict):
+    series = doc.get("series")
+    if not isinstance(series, dict):
         malformed(path, "missing or non-object 'series' section")
     for name, s in series.items():
         if not isinstance(s, dict):

@@ -2,7 +2,7 @@
 """Self-test for telemetry_diff.py, runnable standalone or via ctest.
 
 Each test_* function drives the real script through subprocess with
-synthetic thetanet-telemetry/1 documents and asserts on exit code and
+synthetic thetanet-telemetry/2 documents and asserts on exit code and
 output. No third-party test framework: `python3 telemetry_diff_selftest.py`
 runs every test_* function and exits nonzero on the first failure.
 """
@@ -17,9 +17,10 @@ SCRIPT = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       "telemetry_diff.py")
 
 
-def doc(counters=None, distributions=None, schema="thetanet-telemetry/1"):
+def doc(counters=None, distributions=None, series=None,
+        schema="thetanet-telemetry/2"):
     d = {"counters": counters or {}, "distributions": distributions or {},
-         "schema": schema, "spans": []}
+         "schema": schema, "series": series or {}, "spans": []}
     if schema is None:
         del d["schema"]
     return d
@@ -28,12 +29,6 @@ def doc(counters=None, distributions=None, schema="thetanet-telemetry/1"):
 def dist(count=4, mn=1, mx=9, p50=3, p99=15, total=18):
     return {"count": count, "max": mx, "min": mn, "p50": p50, "p99": p99,
             "sum": total}
-
-
-def doc2(counters=None, distributions=None, series=None):
-    d = doc(counters, distributions, schema="thetanet-telemetry/2")
-    d["series"] = series or {}
-    return d
 
 
 def series(points, agg="max", kind="u64", stride=1, rounds=None):
@@ -101,9 +96,9 @@ def test_distribution_regression_fails(tmp):
     assert "router.round_peak_buffer.max" in p.stdout
 
 
-def test_v2_dumps_with_identical_series_pass(tmp):
-    d = doc2({"router.rounds": 64},
-             series={"router.peak_buffer": series([1, 4, 7, 3])})
+def test_dumps_with_identical_series_pass(tmp):
+    d = doc({"router.rounds": 64},
+            series={"router.peak_buffer": series([1, 4, 7, 3])})
     p = run_diff(tmp, d, d)
     assert p.returncode == 0, p.stdout + p.stderr
     assert "OK" in p.stdout
@@ -118,49 +113,49 @@ def test_distribution_p99_regression_fails(tmp):
 
 
 def test_series_peak_regression_fails(tmp):
-    base = doc2(series={"router.peak_buffer": series([1, 4, 7, 3])})
-    fresh = doc2(series={"router.peak_buffer": series([1, 4, 12, 3])})
+    base = doc(series={"router.peak_buffer": series([1, 4, 7, 3])})
+    fresh = doc(series={"router.peak_buffer": series([1, 4, 12, 3])})
     p = run_diff(tmp, base, fresh)
     assert p.returncode == 1, p.stdout + p.stderr
     assert "series router.peak_buffer peak" in p.stdout
 
 
 def test_series_total_regression_fails_for_sum_agg(tmp):
-    base = doc2(series={"router.tx_failed": series([2, 2, 2], agg="sum")})
-    fresh = doc2(series={"router.tx_failed": series([2, 2, 9], agg="sum")})
+    base = doc(series={"router.tx_failed": series([2, 2, 2], agg="sum")})
+    fresh = doc(series={"router.tx_failed": series([2, 2, 9], agg="sum")})
     p = run_diff(tmp, base, fresh)
     assert p.returncode == 1, p.stdout + p.stderr
     assert "series router.tx_failed" in p.stdout
 
 
 def test_series_meaning_change_fails(tmp):
-    base = doc2(series={"s": series([1, 2], agg="sum")})
-    fresh = doc2(series={"s": series([1, 2], agg="max")})
+    base = doc(series={"s": series([1, 2], agg="sum")})
+    fresh = doc(series={"s": series([1, 2], agg="max")})
     p = run_diff(tmp, base, fresh)
     assert p.returncode == 1, p.stdout + p.stderr
     assert "changed meaning" in p.stdout
 
 
 def test_new_series_is_informational(tmp):
-    base = doc2()
-    fresh = doc2(series={"mobility.displacement":
-                         series([1.5, 2.5], agg="sum", kind="f64")})
+    base = doc()
+    fresh = doc(series={"mobility.displacement":
+                        series([1.5, 2.5], agg="sum", kind="f64")})
     p = run_diff(tmp, base, fresh)
     assert p.returncode == 0, p.stdout + p.stderr
     assert "new series mobility.displacement" in p.stdout
 
 
 def test_lifetime_counter_shrink_fails(tmp):
-    base = doc2({"dynamics.lifetime_to_first_partition": 40})
-    fresh = doc2({"dynamics.lifetime_to_first_partition": 25})
+    base = doc({"dynamics.lifetime_to_first_partition": 40})
+    fresh = doc({"dynamics.lifetime_to_first_partition": 25})
     p = run_diff(tmp, base, fresh)
     assert p.returncode == 1, p.stdout + p.stderr
     assert "dynamics.lifetime_to_first_partition shrank" in p.stdout
 
 
 def test_lifetime_counter_growth_passes(tmp):
-    base = doc2({"dynamics.lifetime_to_first_partition": 25})
-    fresh = doc2({"dynamics.lifetime_to_first_partition": 40})
+    base = doc({"dynamics.lifetime_to_first_partition": 25})
+    fresh = doc({"dynamics.lifetime_to_first_partition": 40})
     p = run_diff(tmp, base, fresh)
     assert p.returncode == 0, p.stdout + p.stderr
     assert "improved" in p.stdout
@@ -168,9 +163,9 @@ def test_lifetime_counter_growth_passes(tmp):
 
 def test_lifetime_counter_new_appearance_fails(tmp):
     # The baseline run never partitioned; the fresh run did.
-    base = doc2({"router.rounds": 64})
-    fresh = doc2({"router.rounds": 64,
-                  "dynamics.lifetime_to_first_partition": 12})
+    base = doc({"router.rounds": 64})
+    fresh = doc({"router.rounds": 64,
+                 "dynamics.lifetime_to_first_partition": 12})
     p = run_diff(tmp, base, fresh)
     assert p.returncode == 1, p.stdout + p.stderr
     assert "appeared" in p.stdout
@@ -178,16 +173,16 @@ def test_lifetime_counter_new_appearance_fails(tmp):
 
 def test_lifetime_counter_disappearance_is_informational(tmp):
     # The fresh run never partitioned where the baseline did: improvement.
-    base = doc2({"dynamics.lifetime_to_first_partition": 12})
-    fresh = doc2()
+    base = doc({"dynamics.lifetime_to_first_partition": 12})
+    fresh = doc()
     p = run_diff(tmp, base, fresh)
     assert p.returncode == 0, p.stdout + p.stderr
     assert "never hit the event" in p.stdout
 
 
 def test_nodes_awake_floor_shrink_fails(tmp):
-    base = doc2(series={"dynamics.nodes_awake": series([16, 12, 14, 16])})
-    fresh = doc2(series={"dynamics.nodes_awake": series([16, 7, 14, 16])})
+    base = doc(series={"dynamics.nodes_awake": series([16, 12, 14, 16])})
+    fresh = doc(series={"dynamics.nodes_awake": series([16, 7, 14, 16])})
     p = run_diff(tmp, base, fresh)
     assert p.returncode == 1, p.stdout + p.stderr
     assert "series dynamics.nodes_awake floor" in p.stdout
@@ -195,41 +190,49 @@ def test_nodes_awake_floor_shrink_fails(tmp):
 
 def test_nodes_awake_peak_growth_with_stable_floor_passes(tmp):
     # Peak growth would fail an ordinary series; the floor class exempts it.
-    base = doc2(series={"dynamics.nodes_awake": series([16, 12, 14, 16])})
-    fresh = doc2(series={"dynamics.nodes_awake": series([24, 12, 20, 24])})
+    base = doc(series={"dynamics.nodes_awake": series([16, 12, 14, 16])})
+    fresh = doc(series={"dynamics.nodes_awake": series([24, 12, 20, 24])})
     p = run_diff(tmp, base, fresh)
     assert p.returncode == 0, p.stdout + p.stderr
 
 
 def test_nodes_awake_floor_rise_is_informational(tmp):
-    base = doc2(series={"dynamics.nodes_awake": series([16, 8, 16])})
-    fresh = doc2(series={"dynamics.nodes_awake": series([16, 12, 16])})
+    base = doc(series={"dynamics.nodes_awake": series([16, 8, 16])})
+    fresh = doc(series={"dynamics.nodes_awake": series([16, 12, 16])})
     p = run_diff(tmp, base, fresh)
     assert p.returncode == 0, p.stdout + p.stderr
     assert "floor improved" in p.stdout
 
 
 def test_f64_points_in_u64_series_exit_3(tmp):
-    bad = doc2(series={"s": series([1, 2.5])})
-    p = run_diff(tmp, bad, doc2())
+    bad = doc(series={"s": series([1, 2.5])})
+    p = run_diff(tmp, bad, doc())
     assert p.returncode == 3, p.stdout + p.stderr
     assert "non-integer point" in p.stderr
 
 
 def test_series_bad_agg_exits_3(tmp):
-    bad = doc2(series={"s": series([1], agg="median")})
-    p = run_diff(tmp, doc2(), bad)
+    bad = doc(series={"s": series([1], agg="median")})
+    p = run_diff(tmp, doc(), bad)
     assert p.returncode == 3, p.stdout + p.stderr
     assert "bad agg" in p.stderr
 
 
-def test_v1_baseline_v2_fresh_compares_counters(tmp):
-    base = doc({"grid.queries": 100})
-    fresh = doc2({"grid.queries": 100},
-                 series={"router.peak_buffer": series([3])})
-    p = run_diff(tmp, base, fresh)
-    assert p.returncode == 0, p.stdout + p.stderr
-    assert "new series" in p.stdout
+def test_schema_v1_dump_exits_3(tmp):
+    # /1 had no "series" section; only /2 is read.
+    v1 = doc({"grid.queries": 100}, schema="thetanet-telemetry/1")
+    del v1["series"]
+    p = run_diff(tmp, v1, doc({"grid.queries": 100}))
+    assert p.returncode == 3, p.stdout + p.stderr
+    assert "thetanet-telemetry/1" in p.stderr
+
+
+def test_missing_series_exits_3(tmp):
+    fresh = doc({"a": 1})
+    del fresh["series"]
+    p = run_diff(tmp, doc({"a": 1}), fresh)
+    assert p.returncode == 3, p.stdout + p.stderr
+    assert "series" in p.stderr
 
 
 def test_wrong_schema_exits_3(tmp):
