@@ -63,6 +63,9 @@ TEST(Shrinker, ReducesInjectedBugToMinimalReproducer) {
   EXPECT_LE(shrunk.reproducer.size(), 12u);
   EXPECT_GE(shrunk.reproducer.size(), 2u);
   EXPECT_GT(shrunk.evaluations, 1u);
+  // Pinned: the exact shrink path of this seed.
+  EXPECT_EQ(shrunk.reproducer.size(), 2u);
+  EXPECT_EQ(shrunk.evaluations, 14u);
 
   // The reproducer must fail standalone, not only within the shrink loop.
   const verify::ConformanceReport again =
@@ -79,6 +82,9 @@ TEST(Shrinker, ShrunkCaseSurvivesCorpusRoundTrip) {
   const verify::ConformanceOptions opt = fast_options();
   const verify::ShrinkResult shrunk =
       verify::shrink_deployment(d, opt, drop_longest_edge);
+  // Pinned: the exact shrink path of this seed.
+  EXPECT_EQ(shrunk.reproducer.size(), 2u);
+  EXPECT_EQ(shrunk.evaluations, 9u);
 
   verify::CorpusCase c;
   c.name = "shrink-roundtrip";
@@ -138,6 +144,10 @@ TEST(ChurnShrinker, PlantedWakeBugReducesToTinyScenario) {
   EXPECT_LE(shrunk.reproducer.size(), 12u);
   EXPECT_LE(shrunk.events.size(), 8u);
   EXPECT_GT(shrunk.evaluations, 1u);
+  // Pinned: the exact shrink path of this seed.
+  EXPECT_EQ(shrunk.reproducer.size(), 3u);
+  EXPECT_EQ(shrunk.events.size(), 2u);
+  EXPECT_EQ(shrunk.evaluations, 50u);
 
   // The reproducer must fail standalone, not only within the shrink loop.
   const verify::ConformanceReport again =
@@ -189,6 +199,10 @@ TEST(ChurnShrinker, TemporalCaseSurvivesCorpusRoundTrip) {
   ASSERT_FALSE(verify::run_churn_conformance(d, schedule, opt).pass());
   const verify::ChurnShrinkResult shrunk =
       verify::shrink_churn(d, schedule, opt);
+  // Pinned: the exact shrink path of this schedule.
+  EXPECT_EQ(shrunk.reproducer.size(), 3u);
+  EXPECT_EQ(shrunk.events.size(), 2u);
+  EXPECT_EQ(shrunk.evaluations, 23u);
 
   verify::CorpusCase c;
   c.name = "churn-shrink-roundtrip";
@@ -250,6 +264,7 @@ TEST(Shrinker, RequiresNoShrinkWhenAlreadyMinimal) {
   const verify::ShrinkResult shrunk =
       verify::shrink_deployment(d, opt, drop_longest_edge);
   EXPECT_EQ(shrunk.reproducer.size(), 2u);
+  EXPECT_EQ(shrunk.evaluations, 3u);
   EXPECT_FALSE(shrunk.report.pass());
 }
 

@@ -91,6 +91,9 @@ TEST(ZooConformance, PlantedTieBreakIsCaughtAndShrinksToTinyReproducer) {
   const verify::ShrinkResult shrunk = verify::shrink_zoo_deployment(d, opt);
   EXPECT_LE(shrunk.reproducer.size(), 12u);
   EXPECT_GE(shrunk.reproducer.size(), 2u);
+  // Pinned: the exact shrink path of this scenario.
+  EXPECT_EQ(shrunk.reproducer.size(), 3u);
+  EXPECT_EQ(shrunk.evaluations, 12u);
   EXPECT_FALSE(verify::run_zoo_conformance(shrunk.reproducer, opt).pass());
 }
 

@@ -2,10 +2,14 @@
 // schedule slack is honoured, realized injection volume tracks the nominal
 // rate (minus booking rejections), and replay always agrees with the
 // generator's own OptStats. The second half checks the sparse step table:
-// a trace stores exactly the steps that carry something.
+// a trace stores exactly the steps that carry something. The last part pins
+// the bytes of a few unicast and anycast traces, so a refactor of the
+// generator cannot change a trace unnoticed.
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <tuple>
 
 #include "routing/adversary.h"
@@ -197,6 +201,138 @@ TEST(SparseSteps, EditsOutOfOrderAreVisitedInTimeOrder) {
   steps.for_each_stored(
       [&](const StepSpec& step) { visited.push_back(step.active.front()); });
   EXPECT_EQ(visited, (std::vector<graph::EdgeId>{2, 7, 11}));
+}
+
+// --- Trace fingerprints -------------------------------------------------------
+
+/// FNV-1a over every step (active edges, cost overrides, injections with
+/// their schedules), the OptStats, and the next draw of the generator's RNG
+/// (so the RNG stream position afterwards is pinned too).
+class TraceHash {
+ public:
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h_ ^= (v >> (8 * i)) & 0xffU;
+      h_ *= 0x100000001b3ULL;
+    }
+  }
+  void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+std::uint64_t fingerprint(const AdversaryTrace& trace, geom::Rng& rng) {
+  TraceHash h;
+  h.add(std::uint64_t{trace.steps.size()});
+  for (const StepSpec& step : trace.steps) {
+    h.add(std::uint64_t{step.active.size()});
+    for (const graph::EdgeId e : step.active) h.add(std::uint64_t{e});
+    h.add(std::uint64_t{step.cost_overrides.size()});
+    for (const auto& [e, c] : step.cost_overrides) {
+      h.add(std::uint64_t{e});
+      h.add(c);
+    }
+    h.add(std::uint64_t{step.injections.size()});
+    for (const Injection& inj : step.injections) {
+      const Packet& p = inj.packet;
+      h.add(p.id);
+      h.add(std::uint64_t{p.src});
+      h.add(std::uint64_t{p.dst});
+      h.add(std::uint64_t{p.injected_at});
+      h.add(std::uint64_t{inj.schedule.t0});
+      h.add(std::uint64_t{inj.schedule.hops.size()});
+      for (const auto& [e, t] : inj.schedule.hops) {
+        h.add(std::uint64_t{e});
+        h.add(std::uint64_t{t});
+      }
+    }
+  }
+  const OptStats& o = trace.opt;
+  h.add(std::uint64_t{o.deliveries});
+  h.add(o.total_cost);
+  h.add(o.avg_cost);
+  h.add(o.avg_path_length);
+  h.add(std::uint64_t{o.max_buffer});
+  h.add(std::uint64_t{o.makespan});
+  h.add(rng());
+  return h.value();
+}
+
+graph::Graph fingerprint_topology(std::uint64_t seed) {
+  geom::Rng rng(seed);
+  topo::Deployment d;
+  d.positions = topo::uniform_square(60, 1.0, rng);
+  d.max_range = 0.4;
+  d.kappa = 2.0;
+  return topo::build_transmission_graph(d);
+}
+
+std::uint64_t unicast_fingerprint(const TraceParams& p, std::uint64_t seed) {
+  const graph::Graph topo = fingerprint_topology(seed);
+  geom::Rng rng(seed + 1);
+  const AdversaryTrace trace = make_certified_trace(topo, p, rng);
+  EXPECT_GT(trace.opt.deliveries, 0U);
+  return fingerprint(trace, rng);
+}
+
+std::uint64_t anycast_fingerprint(const AnycastGroups& groups,
+                                  const TraceParams& p, std::uint64_t seed) {
+  const graph::Graph topo = fingerprint_topology(seed);
+  geom::Rng rng(seed + 1);
+  const AdversaryTrace trace = make_anycast_trace(topo, groups, p, rng);
+  EXPECT_GT(trace.opt.deliveries, 0U);
+  return fingerprint(trace, rng);
+}
+
+TraceParams short_trace() {
+  TraceParams p;
+  p.horizon = 256;
+  p.drain = 256;
+  return p;
+}
+
+TEST(TraceFingerprint, UnicastDefaults) {
+  EXPECT_EQ(unicast_fingerprint(short_trace(), 101), 0xffac8117c28a21faULL);
+}
+
+TEST(TraceFingerprint, UnicastJitterWithNoiseEdges) {
+  TraceParams p = short_trace();
+  p.cost_jitter_pct = 10;
+  p.extra_active_fraction = 0.05;
+  EXPECT_EQ(unicast_fingerprint(p, 102), 0x333f74973f729df3ULL);
+}
+
+TEST(TraceFingerprint, UnicastMinHopWithPools) {
+  TraceParams p = short_trace();
+  p.route_min_cost = false;
+  p.num_sources = 8;
+  p.num_destinations = 3;
+  EXPECT_EQ(unicast_fingerprint(p, 103), 0xa6d52aa848db7419ULL);
+}
+
+TEST(TraceFingerprint, UnicastTightSlack) {
+  TraceParams p = short_trace();
+  p.injections_per_step = 4.0;
+  p.max_schedule_slack = 2;
+  EXPECT_EQ(unicast_fingerprint(p, 104), 0x3fadbf033081e576ULL);
+}
+
+TEST(TraceFingerprint, AnycastTwoGroups) {
+  EXPECT_EQ(anycast_fingerprint(AnycastGroups({{0, 1, 2}, {30, 31}}),
+                                short_trace(), 105),
+            0x7fbaff06d244458cULL);
+}
+
+TEST(TraceFingerprint, AnycastThreeGroupsMinHopWithSourcePool) {
+  TraceParams p = short_trace();
+  p.route_min_cost = false;
+  p.num_sources = 12;
+  p.max_schedule_slack = 4;
+  EXPECT_EQ(anycast_fingerprint(AnycastGroups({{5}, {17, 40}, {50, 51, 52}}),
+                                p, 106),
+            0x67cecc2936caff85ULL);
 }
 
 }  // namespace
