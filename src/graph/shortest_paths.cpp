@@ -15,17 +15,25 @@ std::vector<NodeId> ShortestPathTree::path_to(NodeId target) const {
 
 ShortestPathTree dijkstra(const Graph& g, NodeId source, Weight weight,
                           std::size_t stop_after_settled) {
+  return dijkstra(g, std::span<const NodeId>(&source, 1), weight,
+                  stop_after_settled);
+}
+
+ShortestPathTree dijkstra(const Graph& g, std::span<const NodeId> sources,
+                          Weight weight, std::size_t stop_after_settled) {
   const std::size_t n = g.num_nodes();
-  TN_ASSERT(source < n);
   ShortestPathTree t;
   t.dist.assign(n, kUnreachable);
   t.parent.assign(n, kInvalidNode);
   t.via_edge.assign(n, kInvalidEdge);
-  t.dist[source] = 0.0;
 
   using Entry = std::pair<double, NodeId>;  // (dist, node); min-heap
   std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
-  heap.emplace(0.0, source);
+  for (const NodeId s : sources) {
+    TN_ASSERT(s < n);
+    t.dist[s] = 0.0;
+    heap.emplace(0.0, s);
+  }
   std::size_t settled = 0;
   std::vector<bool> done(n, false);
 

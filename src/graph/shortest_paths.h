@@ -5,6 +5,7 @@
 // the distance-stretch analysis (Theorem 2.7).
 
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "graph/graph.h"
@@ -27,6 +28,12 @@ struct ShortestPathTree {
 /// stretch audits).
 ShortestPathTree dijkstra(const Graph& g, NodeId source, Weight weight,
                           std::size_t stop_after_settled = 0);
+
+/// Multi-source form: every node of `sources` starts at distance 0, so the
+/// tree leads each node back to its nearest source (in an undirected graph,
+/// the reversed tree path is a min-weight path *to* that source).
+ShortestPathTree dijkstra(const Graph& g, std::span<const NodeId> sources,
+                          Weight weight, std::size_t stop_after_settled = 0);
 
 /// Hop distances from `source` (BFS). Unreachable nodes get kUnreachable.
 std::vector<double> bfs_hops(const Graph& g, NodeId source);

@@ -16,7 +16,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -164,17 +163,6 @@ struct TraceParams {
 /// trace's OptStats are exact.
 AdversaryTrace make_certified_trace(const graph::Graph& topo,
                                     const TraceParams& params, geom::Rng& rng);
-
-namespace detail {
-
-/// Make every slot booked in `reserved` (edge id -> booked steps) active at
-/// its step, then sort and deduplicate each stored step's active set. The
-/// post-pass shared by the certified generators; O(edges + booked slots +
-/// stored steps).
-void activate_booked_slots(AdversaryTrace& trace,
-                           const std::vector<std::set<Time>>& reserved);
-
-}  // namespace detail
 
 /// Replay the schedules of a trace and recompute its OptStats (also used as
 /// an independent audit that generated schedules are conflict-free).

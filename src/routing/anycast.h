@@ -38,16 +38,17 @@ class AnycastGroups {
 };
 
 /// Certified anycast trace: injections carry schedules to the *min-cost
-/// reachable member* of their group (multi-source Dijkstra), booked
-/// conflict-free exactly like the unicast generator. Packet.dst holds the
-/// group id. Endpoint pools in `params` are ignored except source_pool;
+/// reachable member* of their group (multi-source Dijkstra), booked by the
+/// same generator as make_certified_trace, noise edges and cost jitter
+/// included. Packet.dst holds the group id. Of the endpoint pools in
+/// `params` only the source pool (source_pool or num_sources) applies;
 /// groups are drawn uniformly.
 AdversaryTrace make_anycast_trace(const graph::Graph& topo,
                                   const AnycastGroups& groups,
                                   const TraceParams& params, geom::Rng& rng);
 
-/// Replay audit for anycast traces (schedules must end at *a member* of the
-/// packet's group).
+/// Replay audit for anycast traces: replay_schedules, except that a schedule
+/// must end at *a member* of the packet's group.
 OptStats replay_anycast_schedules(const AdversaryTrace& trace,
                                   const AnycastGroups& groups);
 

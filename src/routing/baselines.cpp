@@ -28,86 +28,9 @@ BaselineResult run_greedy_geographic(const AdversaryTrace& trace,
                                      const topo::Deployment& d,
                                      const graph::Graph& topo,
                                      std::size_t queue_cap, Time extra_drain) {
-  BaselineResult result;
-  result.opt = trace.opt;
-  RunMetrics& m = result.metrics;
-
-  std::vector<std::deque<Packet>> queue(topo.num_nodes());
-  std::vector<bool> edge_used(topo.num_edges(), false);
-  std::vector<bool> active(topo.num_edges(), false);
-  const Time total = trace.horizon() + extra_drain;
-
-  for (Time t = 0; t < total; ++t) {
-    const StepSpec& step = step_at(trace, t);
-    for (const graph::EdgeId e : step.active) active[e] = true;
-    std::fill(edge_used.begin(), edge_used.end(), false);
-
-    // Forwarding pass: nodes in id order, head packet only, synchronous
-    // arrival staging (a packet moves at most one hop per step).
-    std::vector<std::pair<graph::NodeId, Packet>> arrivals;
-    for (graph::NodeId u = 0; u < topo.num_nodes(); ++u) {
-      if (queue[u].empty()) continue;
-      Packet p = queue[u].front();
-      // Greedy next hop over the full topology: the neighbour strictly
-      // closest to the destination.
-      graph::NodeId best = graph::kInvalidNode;
-      graph::EdgeId best_edge = graph::kInvalidEdge;
-      double best_d = geom::dist_sq(d.positions[u], d.positions[p.dst]);
-      for (const graph::Half& h : topo.neighbors(u)) {
-        const double dd = geom::dist_sq(d.positions[h.to], d.positions[p.dst]);
-        if (dd < best_d || (dd == best_d && h.to < best)) {
-          best_d = dd;
-          best = h.to;
-          best_edge = h.edge;
-        }
-      }
-      if (best == graph::kInvalidNode) {
-        // Local minimum: greedy has no closer neighbour; the packet is lost.
-        queue[u].pop_front();
-        ++result.local_minimum_drops;
-        continue;
-      }
-      if (!active[best_edge] || edge_used[best_edge]) continue;  // wait
-      edge_used[best_edge] = true;
-      queue[u].pop_front();
-      ++m.attempted_tx;
-      const double cost = topo.edge(best_edge).cost;
-      m.total_energy += cost;
-      p.cost_spent += cost;
-      ++p.hops;
-      arrivals.emplace_back(best, p);
-    }
-    for (auto& [v, p] : arrivals) {
-      if (v == p.dst) {
-        ++m.deliveries;
-        m.delivered_cost += p.cost_spent;
-        m.total_hops_delivered += p.hops;
-        m.sum_latency += t >= p.injected_at ? t - p.injected_at : 0;
-      } else if (queue[v].size() < queue_cap) {
-        queue[v].push_back(p);
-      } else {
-        ++m.dropped_in_transit;
-      }
-    }
-
-    if (t < trace.horizon()) {
-      for (const Injection& inj : step.injections) {
-        ++m.injected_offered;
-        if (queue[inj.packet.src].size() < queue_cap) {
-          ++m.injected_accepted;
-          queue[inj.packet.src].push_back(inj.packet);
-        } else {
-          ++m.dropped_at_injection;
-        }
-      }
-    }
-    for (const graph::EdgeId e : step.active) active[e] = false;
-    std::size_t peak = 0;
-    for (const auto& q : queue) peak = std::max(peak, q.size());
-    m.peak_buffer = std::max(m.peak_buffer, peak);
-  }
-  for (const auto& q : queue) m.leftover_packets += q.size();
-  return result;
+  // With no planar edges every greedy local minimum is a drop.
+  return run_gpsr(trace, d, topo, graph::Graph(topo.num_nodes()), queue_cap,
+                  extra_drain);
 }
 
 GpsrResult run_gpsr(const AdversaryTrace& trace, const topo::Deployment& d,

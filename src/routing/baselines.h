@@ -49,7 +49,8 @@ struct BaselineResult {
 /// its geographically-best neighbour, provided the connecting edge is
 /// active this step and not already used; a packet whose best topological
 /// neighbour is not closer to the destination is dropped (local minimum).
-/// Per-node queue capacity `queue_cap` bounds the space overhead.
+/// Per-node queue capacity `queue_cap` bounds the space overhead. This is
+/// run_gpsr below with no planar graph, so perimeter mode never starts.
 BaselineResult run_greedy_geographic(const AdversaryTrace& trace,
                                      const topo::Deployment& d,
                                      const graph::Graph& topo,

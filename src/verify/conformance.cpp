@@ -36,6 +36,40 @@ topo::Deployment without_range(const topo::Deployment& d, std::size_t begin,
   return out;
 }
 
+/// Greedy chunked removal (ddmin flavour), the one loop behind every
+/// shrinker: over a sequence of `size` items, try to delete progressively
+/// smaller contiguous blocks [begin, end). `remove(begin, end)` evaluates
+/// the case without that block and, if it still fails, keeps the deletion
+/// and returns true. Each call counts towards `evaluations`, and no call is
+/// made once it reaches `max_evaluations`. `keep_one` forbids removing the
+/// whole sequence. Returns whether anything was removed.
+bool ddmin(std::size_t size, bool keep_one, std::size_t& evaluations,
+           std::size_t max_evaluations,
+           const std::function<bool(std::size_t, std::size_t)>& remove) {
+  bool shrunk_any = false;
+  std::size_t chunk = std::max<std::size_t>(1, size / 2);
+  for (;;) {
+    bool removed_any = false;
+    std::size_t begin = 0;
+    while (begin < size) {
+      if (evaluations >= max_evaluations) return shrunk_any;
+      const std::size_t end = std::min(begin + chunk, size);
+      if (keep_one && end - begin == size) break;
+      const bool removed = remove(begin, end);
+      ++evaluations;
+      if (removed) {
+        size -= end - begin;
+        removed_any = shrunk_any = true;
+        // keep `begin`: the next block slid into this position
+      } else {
+        begin = end;
+      }
+    }
+    if (chunk == 1 && !removed_any) return shrunk_any;
+    if (!removed_any) chunk /= 2;
+  }
+}
+
 }  // namespace
 
 ConformanceReport run_conformance(const topo::Deployment& d,
@@ -285,37 +319,23 @@ namespace {
 /// dimension). Keeps any deletion under which the run still fails.
 bool ddmin_events(ChurnShrinkResult& res, const ChurnOptions& opt,
                   std::size_t max_evaluations) {
-  bool shrunk_any = false;
-  std::size_t chunk = std::max<std::size_t>(1, res.events.size() / 2);
-  while (chunk >= 1) {
-    bool removed_any = false;
-    std::size_t begin = 0;
-    while (begin < res.events.size()) {
-      if (res.evaluations >= max_evaluations) return shrunk_any;
-      const std::size_t end = std::min(begin + chunk, res.events.size());
-      std::vector<sim::DynEvent> candidate;
-      candidate.reserve(res.events.size() - (end - begin));
-      candidate.insert(candidate.end(), res.events.begin(),
-                       res.events.begin() + static_cast<std::ptrdiff_t>(begin));
-      candidate.insert(candidate.end(),
-                       res.events.begin() + static_cast<std::ptrdiff_t>(end),
-                       res.events.end());
-      ConformanceReport r =
-          run_churn_conformance(res.reproducer, candidate, opt);
-      ++res.evaluations;
-      if (!r.pass()) {
+  return ddmin(
+      res.events.size(), /*keep_one=*/false, res.evaluations, max_evaluations,
+      [&](std::size_t begin, std::size_t end) {
+        std::vector<sim::DynEvent> candidate;
+        candidate.reserve(res.events.size() - (end - begin));
+        candidate.insert(candidate.end(), res.events.begin(),
+                         res.events.begin() + static_cast<std::ptrdiff_t>(begin));
+        candidate.insert(candidate.end(),
+                         res.events.begin() + static_cast<std::ptrdiff_t>(end),
+                         res.events.end());
+        ConformanceReport r =
+            run_churn_conformance(res.reproducer, candidate, opt);
+        if (r.pass()) return false;
         res.events = std::move(candidate);
         res.report = std::move(r);
-        removed_any = shrunk_any = true;
-        // keep `begin`: the next block slid into this position
-      } else {
-        begin = end;
-      }
-    }
-    if (chunk == 1 && !removed_any) break;
-    chunk = removed_any ? chunk : chunk / 2;
-  }
-  return shrunk_any;
+        return true;
+      });
 }
 
 /// Dropping deployment nodes [begin, end) renumbers every id at or above
@@ -342,33 +362,20 @@ std::vector<sim::DynEvent> remap_events_for_removal(
 /// same surviving nodes.
 bool ddmin_nodes(ChurnShrinkResult& res, const ChurnOptions& opt,
                  std::size_t max_evaluations) {
-  bool shrunk_any = false;
-  std::size_t chunk = std::max<std::size_t>(1, res.reproducer.size() / 2);
-  while (chunk >= 1) {
-    bool removed_any = false;
-    std::size_t begin = 0;
-    while (begin < res.reproducer.size()) {
-      if (res.evaluations >= max_evaluations) return shrunk_any;
-      const std::size_t end = std::min(begin + chunk, res.reproducer.size());
-      if (end - begin == res.reproducer.size()) break;  // never empty it
-      topo::Deployment candidate = without_range(res.reproducer, begin, end);
-      std::vector<sim::DynEvent> cand_events =
-          remap_events_for_removal(res.events, begin, end);
-      ConformanceReport r = run_churn_conformance(candidate, cand_events, opt);
-      ++res.evaluations;
-      if (!r.pass()) {
+  return ddmin(
+      res.reproducer.size(), /*keep_one=*/true, res.evaluations,
+      max_evaluations, [&](std::size_t begin, std::size_t end) {
+        topo::Deployment candidate = without_range(res.reproducer, begin, end);
+        std::vector<sim::DynEvent> cand_events =
+            remap_events_for_removal(res.events, begin, end);
+        ConformanceReport r =
+            run_churn_conformance(candidate, cand_events, opt);
+        if (r.pass()) return false;
         res.reproducer = std::move(candidate);
         res.events = std::move(cand_events);
         res.report = std::move(r);
-        removed_any = shrunk_any = true;
-      } else {
-        begin = end;
-      }
-    }
-    if (chunk == 1 && !removed_any) break;
-    chunk = removed_any ? chunk : chunk / 2;
-  }
-  return shrunk_any;
+        return true;
+      });
 }
 
 }  // namespace
@@ -395,44 +402,36 @@ ChurnShrinkResult shrink_churn(const topo::Deployment& failing,
   return res;
 }
 
+ShrinkResult shrink_nodes(
+    const topo::Deployment& failing,
+    const std::function<ConformanceReport(const topo::Deployment&)>& run,
+    std::size_t max_evaluations) {
+  ShrinkResult res;
+  res.reproducer = failing;
+  res.report = run(failing);
+  res.evaluations = 1;
+  TN_ASSERT_MSG(!res.report.pass(), "a shrinker needs a failing instance");
+  ddmin(res.reproducer.size(), /*keep_one=*/true, res.evaluations,
+        max_evaluations, [&](std::size_t begin, std::size_t end) {
+          topo::Deployment candidate =
+              without_range(res.reproducer, begin, end);
+          ConformanceReport r = run(candidate);
+          if (r.pass()) return false;
+          res.reproducer = std::move(candidate);
+          res.report = std::move(r);
+          return true;
+        });
+  return res;
+}
+
 ShrinkResult shrink_deployment(const topo::Deployment& failing,
                                const ConformanceOptions& opt,
                                const TopologyMutator& mutator,
                                std::size_t max_evaluations) {
-  ShrinkResult res;
-  res.reproducer = failing;
-  res.report = run_conformance(failing, opt, mutator);
-  res.evaluations = 1;
-  TN_ASSERT_MSG(!res.report.pass(),
-                "shrink_deployment() needs a failing instance to shrink");
-
-  // Greedy chunked node removal (ddmin flavour): try to delete progressively
-  // smaller contiguous blocks, keeping any deletion that still fails.
-  std::size_t chunk = std::max<std::size_t>(1, res.reproducer.size() / 2);
-  while (chunk >= 1) {
-    bool removed_any = false;
-    std::size_t begin = 0;
-    while (begin < res.reproducer.size()) {
-      if (res.evaluations >= max_evaluations) return res;
-      const std::size_t end =
-          std::min(begin + chunk, res.reproducer.size());
-      if (end - begin == res.reproducer.size()) break;  // never empty it
-      topo::Deployment candidate = without_range(res.reproducer, begin, end);
-      ConformanceReport r = run_conformance(candidate, opt, mutator);
-      ++res.evaluations;
-      if (!r.pass()) {
-        res.reproducer = std::move(candidate);
-        res.report = std::move(r);
-        removed_any = true;
-        // keep `begin`: the next block slid into this position
-      } else {
-        begin = end;
-      }
-    }
-    if (chunk == 1 && !removed_any) break;
-    chunk = removed_any ? chunk : chunk / 2;
-  }
-  return res;
+  return shrink_nodes(
+      failing,
+      [&](const topo::Deployment& d) { return run_conformance(d, opt, mutator); },
+      max_evaluations);
 }
 
 void save_corpus_case(std::ostream& os, const CorpusCase& c) {

@@ -72,6 +72,14 @@ ShrinkResult shrink_deployment(const topo::Deployment& failing,
                                const TopologyMutator& mutator = {},
                                std::size_t max_evaluations = 2000);
 
+/// The node-removal shrink behind shrink_deployment and
+/// shrink_zoo_deployment, for any conformance run `run` that fails on
+/// `failing`. Never removes the last node.
+ShrinkResult shrink_nodes(
+    const topo::Deployment& failing,
+    const std::function<ConformanceReport(const topo::Deployment&)>& run,
+    std::size_t max_evaluations);
+
 // ---------------------------------------------------------------------------
 // Temporal conformance: paper guarantees under churn. The maintained
 // overlay must stay exactly ThetaALG's N of the *surviving* node set after

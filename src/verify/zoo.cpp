@@ -291,44 +291,10 @@ ConformanceReport run_zoo_conformance(const topo::Deployment& d,
 ShrinkResult shrink_zoo_deployment(const topo::Deployment& failing,
                                    const ZooOptions& opt,
                                    std::size_t max_evaluations) {
-  ShrinkResult res;
-  res.reproducer = failing;
-  res.report = run_zoo_conformance(failing, opt);
-  res.evaluations = 1;
-  TN_ASSERT_MSG(!res.report.pass(),
-                "shrink_zoo_deployment() needs a failing instance to shrink");
-
-  // Same greedy chunked ddmin as shrink_deployment, over the zoo run.
-  std::size_t chunk = std::max<std::size_t>(1, res.reproducer.size() / 2);
-  while (chunk >= 1) {
-    bool removed_any = false;
-    std::size_t begin = 0;
-    while (begin < res.reproducer.size()) {
-      if (res.evaluations >= max_evaluations) return res;
-      const std::size_t end = std::min(begin + chunk, res.reproducer.size());
-      if (end - begin == res.reproducer.size()) break;  // never empty it
-      topo::Deployment candidate;
-      candidate.max_range = res.reproducer.max_range;
-      candidate.kappa = res.reproducer.kappa;
-      candidate.positions.reserve(res.reproducer.size() - (end - begin));
-      for (std::size_t i = 0; i < res.reproducer.size(); ++i)
-        if (i < begin || i >= end)
-          candidate.positions.push_back(res.reproducer.positions[i]);
-      ConformanceReport r = run_zoo_conformance(candidate, opt);
-      ++res.evaluations;
-      if (!r.pass()) {
-        res.reproducer = std::move(candidate);
-        res.report = std::move(r);
-        removed_any = true;
-        // keep `begin`: the next block slid into this position
-      } else {
-        begin = end;
-      }
-    }
-    if (chunk == 1 && !removed_any) break;
-    chunk = removed_any ? chunk : chunk / 2;
-  }
-  return res;
+  return shrink_nodes(
+      failing,
+      [&](const topo::Deployment& d) { return run_zoo_conformance(d, opt); },
+      max_evaluations);
 }
 
 }  // namespace thetanet::verify
