@@ -57,6 +57,36 @@ TEST(AnycastTrace, SchedulesEndAtGroupMembers) {
     }
 }
 
+TEST(AnycastTrace, HonoursNoiseEdgesAndCostJitter) {
+  // Anycast traces share the unicast generator's post-passes: noise edges
+  // on every step, a jittered cost for every active edge, and a replay
+  // that charges those jittered costs.
+  const Net net(33);
+  const AnycastGroups groups({{0, 1, 2}, {10, 11}});
+  TraceParams p;
+  p.horizon = 300;
+  p.drain = 100;
+  p.injections_per_step = 1.0;
+  p.extra_active_fraction = 0.05;
+  p.cost_jitter_pct = 20;
+  geom::Rng rng(34);
+  const AdversaryTrace trace = make_anycast_trace(net.topo, groups, p, rng);
+  ASSERT_GT(trace.opt.deliveries, 50U);
+  for (const StepSpec& step : trace.steps) {
+    ASSERT_FALSE(step.active.empty());
+    ASSERT_EQ(step.cost_overrides.size(), step.active.size());
+  }
+  double jittered = 0.0, base = 0.0;
+  for (const StepSpec& step : trace.steps)
+    for (const Injection& inj : step.injections)
+      for (const auto& [e, t] : inj.schedule.hops) {
+        jittered += trace.costs_at(t)[e];
+        base += net.topo.edge(e).cost;
+      }
+  EXPECT_NEAR(trace.opt.total_cost, jittered, 1e-9 * jittered);
+  EXPECT_NE(trace.opt.total_cost, base);
+}
+
 TEST(AnycastTrace, PicksTheCheapestMember) {
   // Line topology 0-1-2-3-4; group {0, 4}; source 1 must be scheduled
   // towards 0 (1 hop), not 4 (3 hops).
