@@ -1,20 +1,26 @@
 // The topology zoo (topology/builder.h): registry integrity, the shared
 // normalize_edges() edge-list contract across every builder and input
 // family, byte-identical builds across Morton on/off and thread counts
-// (the spatial_order_test pattern applied to the whole registry), and the
+// (the spatial_order_test pattern applied to the whole registry), the
 // structural expectations of the three literature competitors (Theta-Theta,
-// Θ₄, hierarchical neighbor graphs).
+// Θ₄, hierarchical neighbor graphs), and byte fingerprints that pin every
+// builder's edge lists across commits.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <cstring>
+#include <functional>
 #include <numbers>
 #include <set>
+#include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "common/parallel.h"
+#include "core/theta_maintenance.h"
 #include "core/theta_topology.h"
 #include "geom/rng.h"
 #include "geom/spatial_order.h"
@@ -26,6 +32,8 @@
 #include "topology/proximity.h"
 #include "topology/theta_graphs.h"
 #include "topology/transmission_graph.h"
+#include "topology/yao.h"
+#include "verify/scenario.h"
 
 namespace thetanet {
 namespace {
@@ -271,6 +279,196 @@ TEST(BuilderZoo, BuildsAreInvariantUnderMortonAndThreads) {
     geom::set_spatial_order_enabled(true);
     tn::set_num_threads(1);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Byte fingerprints. Each case folds an FNV-1a hash over every edge's
+// (u, v, length bits, cost bits) across a matrix of families, sizes and
+// seeds, and compares it with a constant recorded before the cone builders
+// shared one selection kernel. Any change to a selection, a tie-break or an
+// edge weight moves the hash. Every case must hold with Morton ordering on
+// at the default thread count and with Morton off on one thread.
+
+class Fnv1a {
+ public:
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h_ ^= (v >> (8 * i)) & 0xffu;
+      h_ *= 0x100000001b3ULL;
+    }
+  }
+  void add(const graph::Graph& g) {
+    add(g.num_nodes());
+    for (const std::uint64_t w : graph_blob(g)) add(w);
+  }
+  void add(std::span<const graph::NodeId> ids) {
+    add(ids.size());
+    for (const graph::NodeId v : ids) add(v);
+  }
+  std::string hex() const {
+    char buf[17];
+    std::snprintf(buf, sizeof buf, "%016llx",
+                  static_cast<unsigned long long>(h_));
+    return buf;
+  }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+/// Every verify family at n in {0, 1, 2, 7, 48, 300}, two seeds each.
+const std::vector<topo::Deployment>& fingerprint_deployments() {
+  static const std::vector<topo::Deployment> out = [] {
+    std::vector<topo::Deployment> ds;
+    for (const verify::Distribution dist : verify::kAllDistributions)
+      for (const std::size_t n : {0u, 1u, 2u, 7u, 48u, 300u})
+        for (const std::uint64_t seed : {1ULL, 2ULL}) {
+          verify::ScenarioSpec spec;
+          spec.dist = dist;
+          spec.n = n;
+          spec.seed = seed;
+          ds.push_back(verify::build_scenario_deployment(spec));
+        }
+    return ds;
+  }();
+  return out;
+}
+
+/// Run `check` under the configured execution mode, then with Morton
+/// ordering off on one thread, and restore the configuration.
+void for_each_mode(const std::function<void()>& check) {
+  const bool morton = geom::spatial_order_enabled();
+  const int threads = tn::num_threads();
+  check();
+  {
+    SCOPED_TRACE("morton off, 1 thread");
+    geom::set_spatial_order_enabled(false);
+    tn::set_num_threads(1);
+    check();
+  }
+  geom::set_spatial_order_enabled(morton);
+  tn::set_num_threads(threads);
+}
+
+std::string fingerprint(const std::function<graph::Graph(
+                            const topo::Deployment&)>& build) {
+  Fnv1a h;
+  for (const topo::Deployment& d : fingerprint_deployments()) h.add(build(d));
+  return h.hex();
+}
+
+TEST(BuilderFingerprint, RegistryBuildersOnEveryFamily) {
+  const std::vector<std::pair<std::string, std::string>> want = {
+      {"theta", "a9c9560b8f9ada4b"},       {"yao", "ea8df4d3714256c2"},
+      {"gabriel", "606a40bfa6558749"},     {"rng", "d6ec261ed07e99ab"},
+      {"rdelaunay", "3da7ecb9e53e074a"},   {"knn", "88cfccadc1734989"},
+      {"mst", "14f6250485b3a155"},         {"cbtc", "0191499eb717e776"},
+      {"theta-theta", "d552d3ff6c69d878"}, {"theta4", "a3548f9834cddb07"},
+      {"hng", "f38dd0157fb978a3"},         {"gstar", "05bc365d41c5dbf6"},
+  };
+  ASSERT_EQ(want.size(), topo::builder_registry().size());
+  for_each_mode([&] {
+    for (const auto& [name, hash] : want) {
+      const topo::TopologyBuilder* b = topo::find_builder(name);
+      ASSERT_NE(b, nullptr) << name;
+      EXPECT_EQ(fingerprint(b->build), hash) << name;
+    }
+  });
+}
+
+TEST(BuilderFingerprint, ThetaAndThetaThetaAcrossConeCounts) {
+  for_each_mode([] {
+    Fnv1a theta, theta_theta;
+    for (const int k : {2, 5, 8, 12})
+      for (const double rotation : {0.0, 0.37, -std::numbers::pi / 4.0})
+        for (const topo::Deployment& d : fingerprint_deployments()) {
+          const topo::ConeScheme scheme{k, rotation};
+          theta.add(topo::theta_graph(d, scheme));
+          theta_theta.add(topo::theta_theta_graph(d, scheme));
+        }
+    EXPECT_EQ(theta.hex(), "5bd573956537c9f8");
+    EXPECT_EQ(theta_theta.hex(), "a6a64394e4c2a438");
+  });
+}
+
+TEST(BuilderFingerprint, HngAcrossSeedsAndPromotion) {
+  for_each_mode([] {
+    Fnv1a h;
+    for (const std::uint64_t seed : {0x48ceULL, 0x5eedULL})
+      for (const double p : {0.5, 0.3}) {
+        topo::HngParams params;
+        params.seed = seed;
+        params.promote_p = p;
+        for (const topo::Deployment& d : fingerprint_deployments())
+          h.add(topo::hng_graph(d, params));
+      }
+    EXPECT_EQ(h.hex(), "b7015da93d7ee781");
+  });
+}
+
+TEST(BuilderFingerprint, KnnAcrossK) {
+  for_each_mode([] {
+    Fnv1a h;
+    for (const std::size_t k : {0u, 1u, 2u, 3u, 10u, 400u})
+      for (const topo::Deployment& d : fingerprint_deployments())
+        h.add(topo::knn_graph(d, k));
+    EXPECT_EQ(h.hex(), "75b102a8afd63ec7");
+  });
+}
+
+TEST(BuilderFingerprint, ThetaAlgTablesAndYao) {
+  for_each_mode([] {
+    Fnv1a sectors, admitted, graphs;
+    for (const double theta :
+         {std::numbers::pi / 3.0, std::numbers::pi / 9.0, 0.2})
+      for (const topo::Deployment& d : fingerprint_deployments()) {
+        const topo::SectorTable table = topo::compute_sector_table(d, theta);
+        for (graph::NodeId u = 0; u < d.size(); ++u)
+          for (int s = 0; s < table.sectors(); ++s)
+            sectors.add(table.nearest(u, s));
+        const topo::ThetaAdmission adm = topo::theta_phase2(d, theta, table);
+        admitted.add(adm.admitted);
+        graphs.add(adm.n);
+        graphs.add(topo::yao_graph(d, theta));
+      }
+    EXPECT_EQ(sectors.hex(), "c262bd42c2215469");
+    EXPECT_EQ(admitted.hex(), "9bcb9d3384a82cdf");
+    EXPECT_EQ(graphs.hex(), "528d12cf05f9e814");
+  });
+}
+
+TEST(BuilderFingerprint, ThetaMaintainerOperations) {
+  for_each_mode([] {
+    verify::ScenarioSpec spec;
+    spec.n = 60;
+    spec.seed = 3;
+    core::ThetaMaintainer m(verify::build_scenario_deployment(spec),
+                            std::numbers::pi / 9.0);
+    geom::Rng rng(0xf1e1d);
+    Fnv1a h;
+    h.add(m.graph());
+    for (int op = 0; op < 180; ++op) {
+      const auto v =
+          static_cast<graph::NodeId>(rng.uniform_index(m.deployment().size()));
+      switch (rng.uniform_index(4)) {
+        case 0:
+          h.add(m.move_node(v, {rng.uniform(), rng.uniform()}));
+          break;
+        case 1:
+          h.add(m.add_node({rng.uniform(), rng.uniform()}));
+          break;
+        case 2:
+          h.add(m.deactivate_node(v));
+          break;
+        default:
+          h.add(m.activate_node(v));
+          break;
+      }
+      h.add(m.graph());
+    }
+    EXPECT_TRUE(m.matches_full_rebuild());
+    EXPECT_EQ(h.hex(), "9917f0a20ef21944");
+  });
 }
 
 }  // namespace
