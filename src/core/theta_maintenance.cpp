@@ -8,6 +8,7 @@
 #include "geom/spatial_grid.h"
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
+#include "topology/bucket_select.h"
 
 namespace thetanet::core {
 
@@ -171,10 +172,12 @@ std::size_t ThetaMaintainer::apply_liveness_change(NodeId v, bool make_active,
 }
 
 void ThetaMaintainer::rebuild_graph_from_table() {
-  // Phase 2 from the tables (identical to ThetaTopology::build): every
+  // Phase 2 from the tables (identical to topo::theta_phase2): every
   // selection u -> v files u as an incoming candidate at v; v admits the
   // nearest candidate per sector. Inactive rows are empty, and active rows
-  // never reference inactive nodes, so inactive nodes stay isolated.
+  // never reference inactive nodes, so inactive nodes stay isolated. The
+  // fold stays serial and local: theta_phase2's parallel discovery would
+  // add parallel.jobs and theta.* counters to every serve and churn frame.
   const std::size_t n = d_.size();
   const int k = table_.sectors();
   std::vector<NodeId> admitted(n * static_cast<std::size_t>(k), kInvalidNode);
@@ -191,20 +194,7 @@ void ThetaMaintainer::rebuild_graph_from_table() {
       if (topo::nearer(d_, v, u, cur)) cur = u;
     }
   }
-  n_ = graph::Graph(n);
-  std::vector<std::pair<NodeId, NodeId>> pairs;
-  for (NodeId v = 0; v < n; ++v)
-    for (int s = 0; s < k; ++s) {
-      const NodeId w = admitted[slot(v, s)];
-      if (w != kInvalidNode) pairs.push_back(std::minmax(v, w));
-    }
-  std::sort(pairs.begin(), pairs.end());
-  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
-  for (const auto& [a, b] : pairs) {
-    const double len = d_.distance(a, b);
-    n_.add_edge(a, b, len, d_.cost_of_length(len));
-  }
-  n_.finalize();
+  n_ = topo::graph_from_table(d_, static_cast<std::size_t>(k), admitted);
 }
 
 topo::Deployment ThetaMaintainer::active_deployment(

@@ -35,7 +35,7 @@ void ThetaTopology::build() {
 }
 
 graph::Graph ThetaTopology::yao_graph() const {
-  return topo::yao_graph(*deployment_, theta_, table_);
+  return topo::yao_graph(*deployment_, table_);
 }
 
 std::vector<graph::EdgeId> ThetaTopology::replacement_path(NodeId u,

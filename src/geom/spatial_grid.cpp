@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <tuple>
 
 #include "common/assert.h"
@@ -95,44 +94,6 @@ std::vector<SpatialGrid::NodeId> SpatialGrid::within(Vec2 center, double radius,
   });
   std::sort(out.begin(), out.end());
   return out;
-}
-
-SpatialGrid::NodeId SpatialGrid::nearest(Vec2 center, NodeId exclude) const {
-  if (points_.empty()) return kNone;
-  NodeId best = kNone;
-  double best_d2 = std::numeric_limits<double>::infinity();
-  // Expanding-ring search: examine cells in growing square shells until the
-  // best candidate is provably closer than any unexamined shell.
-  const CellCoord c0 = cell_of(center);
-  const std::int32_t max_span = std::max(nx_, ny_);
-  for (std::int32_t span = 0; span <= max_span; ++span) {
-    if (best != kNone) {
-      const double shell_min = (static_cast<double>(span) - 1.0) * cell_;
-      if (shell_min > 0.0 && shell_min * shell_min > best_d2) break;
-    }
-    const std::int32_t x_lo = std::max(0, c0.cx - span);
-    const std::int32_t x_hi = std::min(nx_ - 1, c0.cx + span);
-    const std::int32_t y_lo = std::max(0, c0.cy - span);
-    const std::int32_t y_hi = std::min(ny_ - 1, c0.cy + span);
-    for (std::int32_t cy = y_lo; cy <= y_hi; ++cy) {
-      for (std::int32_t cx = x_lo; cx <= x_hi; ++cx) {
-        // Only the new shell, not the already-scanned interior.
-        if (span > 0 && cx != x_lo && cx != x_hi && cy != y_lo && cy != y_hi)
-          continue;
-        const std::size_t c = cell_index(cx, cy);
-        for (std::uint32_t k = starts_[c]; k < starts_[c + 1]; ++k) {
-          const NodeId id = ids_[k];
-          if (id == exclude) continue;
-          const double d2 = dist_sq({xs_[k], ys_[k]}, center);
-          if (d2 < best_d2 || (d2 == best_d2 && id < best)) {
-            best_d2 = d2;
-            best = id;
-          }
-        }
-      }
-    }
-  }
-  return best;
 }
 
 }  // namespace thetanet::geom

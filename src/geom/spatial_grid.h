@@ -165,9 +165,6 @@ class SpatialGrid {
     return true;
   }
 
-  /// Nearest point to `center` excluding `exclude`; kNone when empty.
-  NodeId nearest(Vec2 center, NodeId exclude = kNone) const;
-
   static constexpr NodeId kNone = static_cast<NodeId>(-1);
 
  private:

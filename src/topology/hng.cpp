@@ -1,14 +1,10 @@
 #include "topology/hng.h"
 
 #include <algorithm>
-#include <limits>
 
-#include "common/arena.h"
-#include "common/parallel.h"
 #include "geom/rng.h"
-#include "geom/spatial_grid.h"
-#include "geom/spatial_order.h"
-#include "topology/normalize.h"
+#include "topology/bucket_select.h"
+#include "topology/yao.h"
 
 namespace thetanet::topo {
 
@@ -33,83 +29,44 @@ graph::Graph hng_graph(const Deployment& d, const HngParams& params) {
     level[u] = hng_level(u, params);
     max_level = std::max(max_level, level[u]);
   }
+  // Per node u and level m, the in-range node of level exactly m
+  // minimizing (dist_sq, id). Walking m downward keeps the nearest node of
+  // level >= m (same strict key, so still unique), and u links to it for
+  // every m = j + 1 with j in [1, level(u)].
+  const auto rows = static_cast<std::size_t>(max_level) + 1;
+  const std::vector<graph::NodeId> nearest = nearest_per_bucket(
+      d, rows,
+      [&](geom::Vec2, graph::NodeId v, geom::Vec2) { return level[v]; },
+      rank_by_distance);
   std::vector<EdgePair> pairs;
-  if (n >= 2) {
-    // Per node u and target level m in [2, max_level], find the in-range
-    // node of level exactly m minimizing (dist_sq, id); a suffix-min over m
-    // then yields the nearest node of level >= m, and u links to
-    // nearest_geq[j + 1] for every j in [1, level(u)]. One grid scan per
-    // node, per-chunk edge collections concatenated in chunk order and
-    // canonicalized by normalize_edges — bit-identical for any thread count.
-    const geom::SpatialOrder ord(d.positions);
-    const geom::SpatialGrid grid(ord.points(), d.max_range);
-    const auto rows = static_cast<std::size_t>(max_level) + 2;
-    pairs = tn::parallel_reduce(
-        n, 256, std::vector<EdgePair>{},
-        [&](std::size_t begin, std::size_t end) {
-          tn::ScratchScope scope;
-          std::span<double> best_d2 = scope.arena().alloc_span<double>(rows);
-          std::span<graph::NodeId> best =
-              scope.arena().alloc_span<graph::NodeId>(rows);
-          std::vector<EdgePair> local;
-          for (std::size_t si = begin; si < end; ++si) {
-            const graph::NodeId u = ord.to_orig(static_cast<std::uint32_t>(si));
-            const geom::Vec2 pu = ord.points()[si];
-            for (std::size_t m = 0; m < rows; ++m) {
-              best_d2[m] = std::numeric_limits<double>::infinity();
-              best[m] = graph::kInvalidNode;
-            }
-            grid.for_each_within(
-                pu, d.max_range,
-                [&](std::uint32_t vs, double d2, geom::Vec2 /*pv*/) {
-                  if (vs == si) return;
-                  const graph::NodeId v = ord.to_orig(vs);
-                  const auto m = static_cast<std::size_t>(level[v]);
-                  if (d2 < best_d2[m] || (d2 == best_d2[m] && v < best[m])) {
-                    best_d2[m] = d2;
-                    best[m] = v;
-                  }
-                });
-            // Suffix-min: after this, best[m] is the nearest node of level
-            // >= m (same strict (dist_sq, id) key, so still unique).
-            for (std::size_t m = rows - 1; m-- > 1;) {
-              if (best_d2[m + 1] < best_d2[m] ||
-                  (best_d2[m + 1] == best_d2[m] && best[m + 1] < best[m])) {
-                best_d2[m] = best_d2[m + 1];
-                best[m] = best[m + 1];
-              }
-            }
-            for (int j = 1; j <= level[u]; ++j) {
-              const graph::NodeId v = best[static_cast<std::size_t>(j) + 1];
-              if (v != graph::kInvalidNode) local.emplace_back(u, v);
-            }
-          }
-          return local;
-        },
-        [](std::vector<EdgePair> a, std::vector<EdgePair> b) {
-          a.insert(a.end(), b.begin(), b.end());
-          return a;
-        });
-    // Top-level chain: nodes of the maximum drawn level have no one to link
-    // up to, so chain them in (x, y, id) order, keeping in-range links.
-    // Whenever the transmission graph is complete this connects the whole
-    // structure (every lower level reaches some strictly higher level, and
-    // the maximum level forms one path).
-    std::vector<graph::NodeId> top;
-    for (graph::NodeId u = 0; u < n; ++u)
-      if (level[u] == max_level) top.push_back(u);
-    std::sort(top.begin(), top.end(),
-              [&](graph::NodeId a, graph::NodeId b) {
-                const geom::Vec2 pa = d.positions[a];
-                const geom::Vec2 pb = d.positions[b];
-                if (pa.x != pb.x) return pa.x < pb.x;
-                if (pa.y != pb.y) return pa.y < pb.y;
-                return a < b;
-              });
-    for (std::size_t i = 0; i + 1 < top.size(); ++i)
-      if (d.in_range(top[i], top[i + 1]))
-        pairs.emplace_back(top[i], top[i + 1]);
+  for (graph::NodeId u = 0; u < n; ++u) {
+    graph::NodeId up = graph::kInvalidNode;
+    for (int m = max_level; m >= 2; --m) {
+      const graph::NodeId v = nearest[u * rows + static_cast<std::size_t>(m)];
+      if (nearer(d, u, v, up)) up = v;
+      if (m - 1 <= level[u] && up != graph::kInvalidNode)
+        pairs.emplace_back(u, up);
+    }
   }
+  // Top-level chain: nodes of the maximum drawn level have no one to link
+  // up to, so chain them in (x, y, id) order, keeping in-range links.
+  // Whenever the transmission graph is complete this connects the whole
+  // structure (every lower level reaches some strictly higher level, and
+  // the maximum level forms one path).
+  std::vector<graph::NodeId> top;
+  for (graph::NodeId u = 0; u < n; ++u)
+    if (level[u] == max_level) top.push_back(u);
+  std::sort(top.begin(), top.end(),
+            [&](graph::NodeId a, graph::NodeId b) {
+              const geom::Vec2 pa = d.positions[a];
+              const geom::Vec2 pb = d.positions[b];
+              if (pa.x != pb.x) return pa.x < pb.x;
+              if (pa.y != pb.y) return pa.y < pb.y;
+              return a < b;
+            });
+  for (std::size_t i = 0; i + 1 < top.size(); ++i)
+    if (d.in_range(top[i], top[i + 1]))
+      pairs.emplace_back(top[i], top[i + 1]);
   normalize_edges(pairs);
   return graph_from_pairs(d, pairs);
 }

@@ -6,7 +6,6 @@
 
 #include "common/parallel.h"
 #include "geom/delaunay.h"
-#include "geom/kdtree.h"
 #include "geom/predicates.h"
 #include "geom/spatial_grid.h"
 #include "graph/mst.h"
@@ -121,22 +120,34 @@ graph::Graph restricted_delaunay_graph(const Deployment& d) {
 
 graph::Graph knn_graph(const Deployment& d, std::size_t k) {
   const std::size_t n = d.size();
-  if (n < 2) {
-    graph::Graph g(n);
-    return g;
-  }
-  const geom::KdTree tree(d.positions);
-  // Per-chunk candidate lists from read-only k-NN queries; normalize_edges
-  // owns the dedup (u and v can each pick the other).
+  if (n < 2) return graph::Graph(n);
+  // Query a hair past D so no rounding in the grid's squared-distance
+  // prefilter drops a node d.in_range accepts. In-range nodes are a prefix
+  // of the (dist_sq, id) order, so cutting the k nearest candidates at the
+  // first out-of-range one gives exactly the range-restricted k-NN. Cells
+  // match the padded radius: a query then scans 3x3 cells, not 5x5.
+  const double radius = d.max_range * (1.0 + 1e-12);
+  const geom::SpatialGrid grid(d.positions, radius);
+  // Per-chunk pair lists; normalize_edges owns the dedup (u and v can each
+  // pick the other).
   std::vector<EdgePair> chosen = tn::parallel_reduce(
       n, 32, std::vector<EdgePair>{},
       [&](std::size_t begin, std::size_t end) {
         std::vector<EdgePair> out;
+        std::vector<std::pair<double, NodeId>> cand;
         for (std::size_t ui = begin; ui < end; ++ui) {
           const auto u = static_cast<NodeId>(ui);
-          for (const std::uint32_t v : tree.k_nearest(d.positions[u], k, u)) {
-            if (d.distance(u, v) > d.max_range) break;  // ordered by distance
-            out.emplace_back(u, v);
+          cand.clear();
+          grid.for_each_within(d.positions[u], radius,
+                               [&](std::uint32_t v, double d2) {
+                                 if (v != u) cand.emplace_back(d2, v);
+                               });
+          const auto kept = cand.begin() + static_cast<std::ptrdiff_t>(
+                                                std::min(k, cand.size()));
+          std::partial_sort(cand.begin(), kept, cand.end());
+          for (auto it = cand.begin(); it != kept; ++it) {
+            if (!d.in_range(u, it->second)) break;
+            out.emplace_back(u, it->second);
           }
         }
         return out;

@@ -1,122 +1,50 @@
 #include "topology/theta_graphs.h"
 
-#include <limits>
-
-#include "common/arena.h"
-#include "common/parallel.h"
-#include "geom/spatial_grid.h"
-#include "geom/spatial_order.h"
-#include "topology/normalize.h"
+#include "topology/bucket_select.h"
 
 namespace thetanet::topo {
+namespace {
 
-std::vector<graph::NodeId> compute_cone_selection(const Deployment& d,
-                                                  const ConeScheme& scheme) {
+/// The Θ family's bucket (the cone at `from` containing `to`) and rank (the
+/// projection of `to` onto that cone's bisector). Projection ties, e.g.
+/// mirror-symmetric neighbours, fall back to (dist_sq, id).
+struct ConeOf {
+  const ConeScheme& scheme;
+  int operator()(geom::Vec2 from, graph::NodeId, geom::Vec2 to) const {
+    return scheme.cone_of(from, to);
+  }
+};
+
+struct ConeProjection {
+  const ConeScheme& scheme;
+  double operator()(int cone, geom::Vec2 from, geom::Vec2 to, double) const {
+    return scheme.projection(cone, from, to);
+  }
+};
+
+std::vector<graph::NodeId> cone_selection(const Deployment& d,
+                                          const ConeScheme& scheme) {
   TN_ASSERT(scheme.k >= 2);
-  const std::size_t n = d.size();
-  const auto kk = static_cast<std::size_t>(scheme.k);
-  std::vector<graph::NodeId> table(n * kk, graph::kInvalidNode);
-  if (n < 2) return table;
-  // Same Morton-ordered traversal as compute_sector_table: the grid lives
-  // over the Z-order copy, rows are addressed by original id (disjoint
-  // writes across chunks), and the per-cone winner is the unique strict
-  // (projection, dist_sq, id) minimum — so the table is bit-identical for
-  // any thread count and for the reorder ON or OFF.
-  const geom::SpatialOrder ord(d.positions);
-  const geom::SpatialGrid grid(ord.points(), d.max_range);
-  tn::parallel_for(n, 256, [&](std::size_t begin, std::size_t end) {
-    tn::ScratchScope scope;
-    std::span<double> best_proj = scope.arena().alloc_span<double>(kk);
-    std::span<double> best_d2 = scope.arena().alloc_span<double>(kk);
-    std::span<graph::NodeId> best = scope.arena().alloc_span<graph::NodeId>(kk);
-    for (std::size_t si = begin; si < end; ++si) {
-      const graph::NodeId u = ord.to_orig(static_cast<std::uint32_t>(si));
-      const geom::Vec2 pu = ord.points()[si];
-      for (std::size_t c = 0; c < kk; ++c) {
-        best_proj[c] = std::numeric_limits<double>::infinity();
-        best_d2[c] = std::numeric_limits<double>::infinity();
-        best[c] = graph::kInvalidNode;
-      }
-      grid.for_each_within(
-          pu, d.max_range,
-          [&](std::uint32_t vs, double d2, geom::Vec2 pv) {
-            if (vs == si) return;
-            const graph::NodeId v = ord.to_orig(vs);
-            const auto c = static_cast<std::size_t>(scheme.cone_of(pu, pv));
-            const double proj = scheme.projection(static_cast<int>(c), pu, pv);
-            // Strict (projection, dist_sq, id) order: projection ties (e.g.
-            // mirror-symmetric neighbours) fall back to the unique-distance
-            // assumption, distance ties to ids.
-            if (proj < best_proj[c] ||
-                (proj == best_proj[c] &&
-                 (d2 < best_d2[c] || (d2 == best_d2[c] && v < best[c])))) {
-              best_proj[c] = proj;
-              best_d2[c] = d2;
-              best[c] = v;
-            }
-          });
-      for (std::size_t c = 0; c < kk; ++c) table[u * kk + c] = best[c];
-    }
-  });
-  return table;
+  return nearest_per_bucket(d, static_cast<std::size_t>(scheme.k),
+                            ConeOf{scheme}, ConeProjection{scheme});
 }
 
+}  // namespace
+
 graph::Graph theta_graph(const Deployment& d, const ConeScheme& scheme) {
-  const std::size_t n = d.size();
-  const auto kk = static_cast<std::size_t>(scheme.k);
-  const std::vector<graph::NodeId> sel = compute_cone_selection(d, scheme);
-  std::vector<EdgePair> pairs;
-  pairs.reserve(n * kk);
-  for (graph::NodeId u = 0; u < n; ++u)
-    for (std::size_t c = 0; c < kk; ++c) {
-      const graph::NodeId v = sel[u * kk + c];
-      if (v != graph::kInvalidNode) pairs.emplace_back(u, v);
-    }
-  normalize_edges(pairs);
-  return graph_from_pairs(d, pairs);
+  return graph_from_table(d, static_cast<std::size_t>(scheme.k),
+                          cone_selection(d, scheme));
 }
 
 graph::Graph theta_theta_graph(const Deployment& d, const ConeScheme& scheme) {
-  const std::size_t n = d.size();
-  const auto kk = static_cast<std::size_t>(scheme.k);
-  const std::vector<graph::NodeId> sel = compute_cone_selection(d, scheme);
   // Phase 2 (Damian–Voicu): each node v keeps, per cone at v, only the
-  // shortest incoming Θ-edge — ordered by the projection of the sender onto
-  // the bisector of v's cone containing it, ties by (dist_sq, id) as in
-  // phase 1. Serial over directed selections (<= n*k of them), same result
-  // regardless of scan order because the winner key is a strict minimum.
-  std::vector<double> keep_proj(n * kk,
-                                std::numeric_limits<double>::infinity());
-  std::vector<double> keep_d2(n * kk, std::numeric_limits<double>::infinity());
-  std::vector<graph::NodeId> keep(n * kk, graph::kInvalidNode);
-  for (graph::NodeId u = 0; u < n; ++u)
-    for (std::size_t c = 0; c < kk; ++c) {
-      const graph::NodeId v = sel[u * kk + c];
-      if (v == graph::kInvalidNode) continue;
-      const geom::Vec2 pv = d.positions[v];
-      const geom::Vec2 pu = d.positions[u];
-      const int cv = scheme.cone_of(pv, pu);
-      const std::size_t slot = v * kk + static_cast<std::size_t>(cv);
-      const double proj = scheme.projection(cv, pv, pu);
-      const double d2 = geom::dist_sq(pv, pu);
-      if (proj < keep_proj[slot] ||
-          (proj == keep_proj[slot] &&
-           (d2 < keep_d2[slot] ||
-            (d2 == keep_d2[slot] && u < keep[slot])))) {
-        keep_proj[slot] = proj;
-        keep_d2[slot] = d2;
-        keep[slot] = u;
-      }
-    }
-  std::vector<EdgePair> pairs;
-  pairs.reserve(n * kk);
-  for (graph::NodeId v = 0; v < n; ++v)
-    for (std::size_t c = 0; c < kk; ++c) {
-      const graph::NodeId u = keep[v * kk + c];
-      if (u != graph::kInvalidNode) pairs.emplace_back(u, v);
-    }
-  normalize_edges(pairs);
-  return graph_from_pairs(d, pairs);
+  // shortest incoming Θ-edge, ordered by the projection of the sender onto
+  // the bisector of v's cone containing it.
+  const auto k = static_cast<std::size_t>(scheme.k);
+  return graph_from_table(
+      d, k,
+      admit_per_bucket(d, k, cone_selection(d, scheme), ConeOf{scheme},
+                       ConeProjection{scheme}));
 }
 
 graph::Graph theta4_graph(const Deployment& d) {

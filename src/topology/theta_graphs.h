@@ -24,19 +24,14 @@
 // All constructions are range-restricted (a radio network cannot use edges
 // longer than D) and deterministic: per-cone winners minimize the strict
 // key (projection, squared distance, id), so outputs are bit-identical for
-// any thread count and for the Morton reorder ON or OFF.
+// any thread count and for the Morton reorder ON or OFF. Both phases run on
+// the shared kernel in bucket_select.h, ranked by projection.
 
 #include "graph/graph.h"
 #include "topology/cones.h"
 #include "topology/deployment.h"
 
 namespace thetanet::topo {
-
-/// Per-node, per-cone Θ-selection: the in-range node minimizing
-/// (projection onto the cone bisector, squared distance, id), kInvalidNode
-/// for empty cones. Row-major node x cone, like SectorTable.
-std::vector<graph::NodeId> compute_cone_selection(const Deployment& d,
-                                                  const ConeScheme& scheme);
 
 /// The classical Θ_k graph (undirected union of per-cone selections).
 graph::Graph theta_graph(const Deployment& d, const ConeScheme& scheme);

@@ -1,15 +1,11 @@
 #include "topology/yao.h"
 
 #include <algorithm>
-#include <limits>
+#include <numbers>
 
-#include "common/arena.h"
-#include "common/parallel.h"
 #include "geom/angles.h"
-#include "geom/spatial_grid.h"
-#include "geom/spatial_order.h"
 #include "obs/metrics.h"
-#include "topology/normalize.h"
+#include "topology/bucket_select.h"
 
 namespace thetanet::topo {
 
@@ -30,165 +26,50 @@ bool SectorTable::selects(graph::NodeId u, graph::NodeId v, const Deployment& d,
   return nearest(u, s) == v;
 }
 
+namespace {
+
+/// ThetaALG's bucket: the sector at `from` containing `to`.
+struct SectorOf {
+  double theta;
+  int operator()(geom::Vec2 from, graph::NodeId, geom::Vec2 to) const {
+    return geom::sector_index(from, to, theta);
+  }
+};
+
+}  // namespace
+
 SectorTable compute_sector_table(const Deployment& d, double theta) {
   TN_ASSERT_MSG(theta > 0.0 && theta <= std::numbers::pi / 3.0 + 1e-12,
                 "ThetaALG requires theta <= pi/3");
-  const std::size_t n = d.size();
   const int k = geom::sector_count(theta);
-  SectorTable table(n, k);
-  if (n < 2) return table;
-  // Morton-ordered traversal: the grid is built over the Z-order copy of
-  // the points and nodes are processed in that order, so consecutive
-  // queries land in the same (already cached) grid cells. Sector rows are
-  // addressed by ORIGINAL id — each original id occurs exactly once in the
-  // permutation, so writes stay disjoint across chunks and the table is
-  // bit-identical for any thread count and for the ordering ON or OFF (the
-  // per-sector winner is the unique (dist_sq, id) minimum, which no
-  // enumeration order can change).
-  const geom::SpatialOrder ord(d.positions);
-  const geom::SpatialGrid grid(ord.points(), d.max_range);
-  tn::parallel_for(n, 256, [&](std::size_t begin, std::size_t end) {
-    // Per-chunk winner row (squared distance + original id per sector),
-    // recycled from the thread's scratch arena.
-    tn::ScratchScope scope;
-    const auto kk = static_cast<std::size_t>(k);
-    std::span<double> best_d2 = scope.arena().alloc_span<double>(kk);
-    std::span<graph::NodeId> best = scope.arena().alloc_span<graph::NodeId>(kk);
-    for (std::size_t si = begin; si < end; ++si) {
-      const graph::NodeId u = ord.to_orig(static_cast<std::uint32_t>(si));
-      const geom::Vec2 pu = ord.points()[si];
-      for (std::size_t s = 0; s < kk; ++s) {
-        best_d2[s] = std::numeric_limits<double>::infinity();
-        best[s] = graph::kInvalidNode;
-      }
-      grid.for_each_within(
-          pu, d.max_range,
-          [&](std::uint32_t vs, double d2, geom::Vec2 pv) {
-            if (vs == si) return;
-            const graph::NodeId v = ord.to_orig(vs);
-            const auto s =
-                static_cast<std::size_t>(geom::sector_index(pu, pv, theta));
-            // Same strict (dist_sq, id) order as topo::nearer; d2 from the
-            // scan is bit-identical to dist_sq(positions[u], positions[v]).
-            if (d2 < best_d2[s] || (d2 == best_d2[s] && v < best[s])) {
-              best_d2[s] = d2;
-              best[s] = v;
-            }
-          });
-      for (int s = 0; s < k; ++s)
-        if (best[static_cast<std::size_t>(s)] != graph::kInvalidNode)
-          table.set_nearest(u, s, best[static_cast<std::size_t>(s)]);
-    }
-  });
-  return table;
+  return SectorTable(k, nearest_per_bucket(d, static_cast<std::size_t>(k),
+                                           SectorOf{theta}, rank_by_distance));
 }
 
 graph::Graph yao_graph(const Deployment& d, double theta) {
-  return yao_graph(d, theta, compute_sector_table(d, theta));
+  return yao_graph(d, compute_sector_table(d, theta));
 }
 
-graph::Graph yao_graph(const Deployment& d, double theta,
-                       const SectorTable& table) {
-  (void)theta;
-  const std::size_t n = d.size();
-  // An edge can be selected from both endpoints; normalize_edges owns the
-  // dedup contract, and edge ids come out in (u, v) lexicographic order,
-  // same as ThetaTopology.
-  std::vector<EdgePair> pairs;
-  pairs.reserve(n * static_cast<std::size_t>(table.sectors()));
-  for (graph::NodeId u = 0; u < n; ++u) {
-    for (int s = 0; s < table.sectors(); ++s) {
-      const graph::NodeId v = table.nearest(u, s);
-      if (v == graph::kInvalidNode) continue;
-      pairs.emplace_back(u, v);
-    }
-  }
-  normalize_edges(pairs);
-  return graph_from_pairs(d, pairs);
+graph::Graph yao_graph(const Deployment& d, const SectorTable& table) {
+  return graph_from_table(d, static_cast<std::size_t>(table.sectors()),
+                          table.entries());
 }
 
 ThetaAdmission theta_phase2(const Deployment& d, double theta,
                             const SectorTable& table) {
-  const std::size_t n = d.size();
-  const int k = table.sectors();
+  // Phase 2: every phase-1 selection u -> v is an incoming candidate at v,
+  // filed under v's sector containing u; v admits only the nearest
+  // candidate per sector.
+  const auto k = static_cast<std::size_t>(table.sectors());
   ThetaAdmission out;
-  out.admitted.assign(n * static_cast<std::size_t>(k), graph::kInvalidNode);
-
-  // Phase 2: every phase-1 selection u -> v (v = nearest to u in some sector
-  // of u) is an *incoming candidate* at v, filed under v's sector containing
-  // u; v admits only the nearest candidate per sector.
-  const auto slot = [&](graph::NodeId v, int s) {
-    return static_cast<std::size_t>(v) * static_cast<std::size_t>(k) +
-           static_cast<std::size_t>(s);
-  };
-  // Candidate discovery (the sector_index trigonometry) runs in parallel
-  // over selectors u; the admission min-merge is a serial fold. The fold is
-  // order-insensitive anyway — topo::nearer is a strict total order, so the
-  // admitted candidate per slot is the unique minimum — but chunk-ordered
-  // concatenation makes the merge sequence itself deterministic too. Each
-  // candidate carries its squared distance (the discovery loop has both
-  // endpoints in hand anyway), so the fold is a pure compare against the
-  // per-slot running minimum instead of two position gathers per candidate.
-  struct Candidate {
-    std::uint32_t slot;
-    graph::NodeId u;
-    double d2;  // dist_sq(positions[v], positions[u]), as topo::nearer uses
-  };
-  TN_DCHECK(n * static_cast<std::size_t>(k) <= 0xffffffffu);
-  const std::vector<Candidate> candidates = tn::parallel_reduce(
-      n, 256, std::vector<Candidate>{},
-      [&](std::size_t begin, std::size_t end) {
-        std::vector<Candidate> part;
-        for (std::size_t ui = begin; ui < end; ++ui) {
-          const auto u = static_cast<graph::NodeId>(ui);
-          for (int s = 0; s < k; ++s) {
-            const graph::NodeId v = table.nearest(u, s);
-            if (v == graph::kInvalidNode) continue;
-            const int sv =
-                geom::sector_index(d.positions[v], d.positions[u], theta);
-            part.push_back({static_cast<std::uint32_t>(slot(v, sv)), u,
-                            geom::dist_sq(d.positions[v], d.positions[u])});
-          }
-        }
-        return part;
-      },
-      [](std::vector<Candidate> acc, std::vector<Candidate> part) {
-        acc.insert(acc.end(), part.begin(), part.end());
-        return acc;
-      });
-  TN_OBS_COUNT("theta.candidates", candidates.size());
-  {
-    // Arena-backed per-slot minimum distance, recycled across builds.
-    tn::ScratchScope scope;
-    std::span<double> best_d2 =
-        scope.arena().alloc_span<double>(n * static_cast<std::size_t>(k));
-    std::fill(best_d2.begin(), best_d2.end(),
-              std::numeric_limits<double>::infinity());
-    for (const Candidate& c : candidates) {
-      graph::NodeId& cur = out.admitted[c.slot];
-      double& bd = best_d2[c.slot];
-      // Same (dist_sq, id) strict order as topo::nearer; an empty slot has
-      // bd == inf, which any finite candidate beats.
-      if (c.d2 < bd || (c.d2 == bd && c.u < cur)) {
-        bd = c.d2;
-        cur = c.u;
-      }
-    }
-  }
-
-  // Materialize N: one edge per admission; normalize_edges owns the dedup
-  // (an edge can be admitted from both sides).
-  std::vector<EdgePair> pairs;
-  for (graph::NodeId v = 0; v < n; ++v) {
-    for (int s = 0; s < k; ++s) {
-      const graph::NodeId w = out.admitted[slot(v, s)];
-      if (w == graph::kInvalidNode) continue;
-      pairs.emplace_back(v, w);
-    }
-  }
-  normalize_edges(pairs);
-  TN_OBS_COUNT("theta.edges", pairs.size());
-  out.n = graph_from_pairs(d, pairs);
+  out.admitted = admit_per_bucket(d, k, table.entries(), SectorOf{theta},
+                                  rank_by_distance);
+  TN_OBS_COUNT("theta.candidates",
+               std::ranges::count_if(table.entries(), [](graph::NodeId v) {
+                 return v != graph::kInvalidNode;
+               }));
+  out.n = graph_from_table(d, k, out.admitted);
+  TN_OBS_COUNT("theta.edges", out.n.num_edges());
   return out;
 }
 

@@ -77,7 +77,7 @@ void check_deployment(const topo::Deployment& d) {
   tn::set_num_threads(1);
   const topo::SectorTable table1 = topo::compute_sector_table(d, kTheta);
   const core::ThetaTopology theta1(d, kTheta);
-  const graph::Graph yao1 = topo::yao_graph(d, kTheta, table1);
+  const graph::Graph yao1 = topo::yao_graph(d, table1);
   const graph::Graph gstar1 = topo::build_transmission_graph(d);
   const graph::Graph gabriel1 = topo::gabriel_graph(d);
   const std::vector<std::uint32_t> isizes1 =
@@ -98,7 +98,7 @@ void check_deployment(const topo::Deployment& d) {
 
     const core::ThetaTopology theta(d, kTheta);
     expect_identical(theta.graph(), theta1.graph(), "theta", threads);
-    expect_identical(topo::yao_graph(d, kTheta, table), yao1, "yao", threads);
+    expect_identical(topo::yao_graph(d, table), yao1, "yao", threads);
     expect_identical(topo::build_transmission_graph(d), gstar1, "gstar",
                      threads);
     expect_identical(topo::gabriel_graph(d), gabriel1, "gabriel", threads);

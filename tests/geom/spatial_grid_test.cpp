@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <limits>
 
 #include "geom/rng.h"
 #include "obs/metrics.h"
@@ -34,15 +33,13 @@ TEST(SpatialGrid, EmptyPointSet) {
   const SpatialGrid grid(pts, 1.0);
   EXPECT_EQ(grid.size(), 0U);
   EXPECT_TRUE(grid.within({0, 0}, 10.0).empty());
-  EXPECT_EQ(grid.nearest({0, 0}), SpatialGrid::kNone);
 }
 
 TEST(SpatialGrid, SinglePoint) {
   const std::vector<Vec2> pts{{0.5, 0.5}};
   const SpatialGrid grid(pts, 0.1);
-  EXPECT_EQ(grid.nearest({0, 0}), 0U);
   EXPECT_EQ(grid.within({0.5, 0.5}, 0.01), std::vector<std::uint32_t>{0});
-  EXPECT_EQ(grid.nearest({0.5, 0.5}, /*exclude=*/0), SpatialGrid::kNone);
+  EXPECT_TRUE(grid.within({0.5, 0.5}, 0.01, /*exclude=*/0).empty());
 }
 
 TEST(SpatialGrid, WithinMatchesBruteForce) {
@@ -67,44 +64,6 @@ TEST(SpatialGrid, WithinRespectsExclude) {
   EXPECT_EQ(got, brute_within(pts, pts[17], 0.3, 17));
 }
 
-TEST(SpatialGrid, NearestMatchesBruteForce) {
-  Rng rng(103);
-  const std::vector<Vec2> pts = random_points(250, rng);
-  const SpatialGrid grid(pts, 0.07);
-  for (int q = 0; q < 300; ++q) {
-    const Vec2 c{rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)};
-    std::uint32_t best = SpatialGrid::kNone;
-    double best_d = std::numeric_limits<double>::infinity();
-    for (std::uint32_t i = 0; i < pts.size(); ++i) {
-      const double d = dist_sq(pts[i], c);
-      if (d < best_d || (d == best_d && i < best)) {
-        best_d = d;
-        best = i;
-      }
-    }
-    ASSERT_EQ(grid.nearest(c), best) << "query " << q;
-  }
-}
-
-TEST(SpatialGrid, NearestWithExcludeMatchesBruteForce) {
-  Rng rng(104);
-  const std::vector<Vec2> pts = random_points(150, rng);
-  const SpatialGrid grid(pts, 0.25);
-  for (std::uint32_t e = 0; e < 50; ++e) {
-    std::uint32_t best = SpatialGrid::kNone;
-    double best_d = std::numeric_limits<double>::infinity();
-    for (std::uint32_t i = 0; i < pts.size(); ++i) {
-      if (i == e) continue;
-      const double d = dist_sq(pts[i], pts[e]);
-      if (d < best_d || (d == best_d && i < best)) {
-        best_d = d;
-        best = i;
-      }
-    }
-    ASSERT_EQ(grid.nearest(pts[e], e), best);
-  }
-}
-
 TEST(SpatialGrid, ForEachWithinVisitsSameSetAsWithin) {
   Rng rng(105);
   const std::vector<Vec2> pts = random_points(120, rng);
@@ -120,8 +79,8 @@ TEST(SpatialGrid, CoincidentPointsAllReturned) {
   const std::vector<Vec2> pts{{0.5, 0.5}, {0.5, 0.5}, {0.5, 0.5}};
   const SpatialGrid grid(pts, 0.1);
   EXPECT_EQ(grid.within({0.5, 0.5}, 0.001).size(), 3U);
-  // Nearest tie broken towards the smallest id.
-  EXPECT_EQ(grid.nearest({0.5, 0.5}, 0), 1U);
+  EXPECT_EQ(grid.within({0.5, 0.5}, 0.001, 0),
+            (std::vector<std::uint32_t>{1, 2}));
 }
 
 TEST(SpatialGrid, QueryRadiusLargerThanDomain) {

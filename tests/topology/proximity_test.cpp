@@ -5,6 +5,9 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "geom/angles.h"
 #include "geom/predicates.h"
@@ -108,6 +111,62 @@ TEST(Proximity, KnnGraphDegreeAndSymmetry) {
   // but each node contributes at most k outgoing choices.
   EXPECT_LE(g.num_edges(), k * d.size());
   for (const graph::Edge& e : g.edges()) EXPECT_LE(e.length, d.max_range);
+}
+
+/// O(n^2) reference for knn_graph: each node's k nearest others in
+/// (dist_sq, id) order, cut at the first one out of range; symmetric union.
+std::set<std::pair<graph::NodeId, graph::NodeId>> brute_knn_edges(
+    const Deployment& d, std::size_t k) {
+  std::set<std::pair<graph::NodeId, graph::NodeId>> out;
+  for (graph::NodeId u = 0; u < d.size(); ++u) {
+    std::vector<std::pair<double, graph::NodeId>> order;
+    for (graph::NodeId v = 0; v < d.size(); ++v)
+      if (v != u)
+        order.emplace_back(geom::dist_sq(d.positions[u], d.positions[v]), v);
+    std::sort(order.begin(), order.end());
+    for (std::size_t i = 0; i < std::min(k, order.size()); ++i) {
+      if (!d.in_range(u, order[i].second)) break;
+      out.insert(std::minmax(u, order[i].second));
+    }
+  }
+  return out;
+}
+
+TEST(Proximity, KnnGraphMatchesBruteForce) {
+  std::vector<Deployment> ds;
+  geom::Rng rng(53);
+  ds.push_back(random_deployment(120, 0.2, rng));
+  // Coincident points: stacks of equal positions, so dist_sq ties at 0
+  // and the id decides among them.
+  Deployment stacked = random_deployment(20, 0.3, rng);
+  stacked.positions.insert(stacked.positions.end(), 5, {0.2, 0.2});
+  stacked.positions.insert(stacked.positions.end(), 3, {0.25, 0.2});
+  ds.push_back(stacked);
+  // Equal-distance ties on an exact lattice (spacing 1/4 is exact in
+  // binary), with neighbours at exactly max_range = 1/2 and, in the second
+  // copy, exactly at max_range = 1/4.
+  Deployment lattice;
+  for (int i = 0; i < 6; ++i)
+    for (int j = 0; j < 6; ++j)
+      lattice.positions.push_back({0.25 * i, 0.25 * j});
+  lattice.max_range = 0.5;
+  lattice.kappa = 2.0;
+  ds.push_back(lattice);
+  lattice.max_range = 0.25;
+  ds.push_back(lattice);
+
+  for (const Deployment& d : ds) {
+    const std::size_t max_degree =
+        build_transmission_graph(d).max_degree();
+    // k below, at and above the degree of the busiest node, and above n.
+    for (const std::size_t k :
+         {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{3},
+          max_degree - 1, max_degree, max_degree + 1, d.size() + 5}) {
+      SCOPED_TRACE("n=" + std::to_string(d.size()) +
+                   " k=" + std::to_string(k));
+      EXPECT_EQ(edge_set(knn_graph(d, k)), brute_knn_edges(d, k));
+    }
+  }
 }
 
 TEST(Proximity, KnnGraphCanBeDisconnected) {

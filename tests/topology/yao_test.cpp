@@ -142,7 +142,7 @@ TEST(YaoGraph, PrecomputedTableGivesSameGraph) {
   const double theta = kPi / 9.0;
   const SectorTable table = compute_sector_table(d, theta);
   const graph::Graph a = yao_graph(d, theta);
-  const graph::Graph b = yao_graph(d, theta, table);
+  const graph::Graph b = yao_graph(d, table);
   ASSERT_EQ(a.num_edges(), b.num_edges());
   for (graph::EdgeId e = 0; e < a.num_edges(); ++e) {
     EXPECT_EQ(a.edge(e).u, b.edge(e).u);
