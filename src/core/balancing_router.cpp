@@ -133,8 +133,7 @@ std::span<const graph::EdgeId> BalancingRouter::candidate_edges(
   const std::size_t words = (topo.num_edges() + 63) / 64;
   if (edge_bits_.size() != words) edge_bits_.assign(words, 0);
   touched_.clear();
-  // Serial walk (neighbors() may lazily rebuild adjacency): set the bit of
-  // every edge with at least one buffering endpoint.
+  // Set the bit of every edge with at least one buffering endpoint.
   buffers_.for_each_active_node([&](graph::NodeId v) {
     for (const graph::Half& h : topo.neighbors(v)) {
       std::uint64_t& word = edge_bits_[h.edge / 64];

@@ -31,8 +31,6 @@ HoneycombMac::HoneycombMac(const topo::Deployment& d,
   TN_ASSERT_MSG(params.delta > 0.0, "guard zone Delta must be positive");
   TN_ASSERT_MSG(params.p_t > 0.0 && params.p_t <= 1.0 / 6.0 + 1e-12,
                 "Lemma 3.7 requires p_t <= 1/6");
-  // select() walks adjacency; build it now so later calls only read.
-  unit_graph.finalize();
 }
 
 std::vector<PlannedTx> HoneycombMac::select(const BalancingRouter& router,

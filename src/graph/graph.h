@@ -10,14 +10,16 @@
 //     edge with no per-edge allocation, and scans that only need one field
 //     (Dijkstra reads costs, stretch reads lengths) stream just that array;
 //   * adjacency is CSR (one offsets array + one flat Half array) instead of
-//     a vector per node, built lazily from the edge list on first query.
-// Edge ids and the per-node adjacency order are identical to the historical
-// vector-of-vectors layout (adjacency is filled in edge-id order), so every
-// output and golden file is unchanged.
+//     a vector per node, built once by GraphBuilder::build().
+// A Graph never changes after it is made, so any number of threads may read
+// one. Edge ids and the per-node adjacency order are identical to the
+// historical vector-of-vectors layout (adjacency is filled in edge-id
+// order), so every output and golden file is unchanged.
 
 #include <cstdint>
 #include <iterator>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/assert.h"
@@ -52,45 +54,14 @@ class Graph {
   class EdgeRange;
 
   Graph() = default;
-  explicit Graph(std::size_t n) : num_nodes_(n) {}
+  /// The edgeless graph on n nodes.
+  explicit Graph(std::size_t n) : num_nodes_(n) { build_adjacency(); }
 
   std::size_t num_nodes() const { return num_nodes_; }
   std::size_t num_edges() const { return eu_.size(); }
 
-  /// Pre-size the edge arrays (builders know their edge count after dedup).
-  void reserve_edges(std::size_t m) {
-    eu_.reserve(m);
-    ev_.reserve(m);
-    elen_.reserve(m);
-    ecost_.reserve(m);
-  }
-
-  /// Add undirected edge (u, v); parallel edges are the caller's
-  /// responsibility to avoid (topology builders dedup before insertion).
-  /// Appends to the edge arrays only — adjacency is rebuilt on the next
-  /// query (or an explicit finalize()).
-  EdgeId add_edge(NodeId u, NodeId v, double length, double cost) {
-    TN_ASSERT(u < num_nodes_ && v < num_nodes_ && u != v);
-    const EdgeId id = static_cast<EdgeId>(eu_.size());
-    eu_.push_back(u);
-    ev_.push_back(v);
-    elen_.push_back(length);
-    ecost_.push_back(cost);
-    adj_dirty_ = true;
-    return id;
-  }
-
-  /// Rebuild the CSR adjacency now if edges were added since the last
-  /// build. The lazy rebuild inside neighbors() is NOT safe to trigger from
-  /// concurrent readers — every builder calls this before a graph escapes
-  /// to (possibly parallel) consumers, making later queries pure reads.
-  void finalize() const {
-    if (adj_dirty_) build_adjacency();
-  }
-
   std::span<const Half> neighbors(NodeId u) const {
     TN_ASSERT(u < num_nodes_);
-    finalize();
     return {adj_half_.data() + adj_off_[u], adj_off_[u + 1] - adj_off_[u]};
   }
 
@@ -115,7 +86,6 @@ class Graph {
   std::size_t degree(NodeId u) const { return neighbors(u).size(); }
 
   std::size_t max_degree() const {
-    finalize();
     std::size_t d = 0;
     for (NodeId u = 0; u < num_nodes_; ++u) {
       const std::size_t deg = adj_off_[u + 1] - adj_off_[u];
@@ -155,12 +125,14 @@ class Graph {
   }
 
  private:
+  friend class GraphBuilder;
+
   // Counting sort of the half-edges by endpoint, in edge-id order — exactly
   // the order the old per-node vectors accumulated in, so neighbour
   // enumeration (and everything downstream: Dijkstra tie-breaks, router
-  // traces, goldens) is unchanged. Members are mutable so a serial caller
-  // that interleaves add_edge and neighbors keeps working lazily.
-  void build_adjacency() const {
+  // traces, goldens) is unchanged.
+  void build_adjacency() {
+    TN_ASSERT(num_nodes_ < kInvalidNode);
     adj_off_.assign(num_nodes_ + 1, 0);
     for (std::size_t e = 0; e < eu_.size(); ++e) {
       ++adj_off_[eu_[e] + 1];
@@ -174,7 +146,6 @@ class Graph {
       adj_half_[cursor[eu_[e]]++] = {ev_[e], id};
       adj_half_[cursor[ev_[e]]++] = {eu_[e], id};
     }
-    adj_dirty_ = false;
   }
 
   std::size_t num_nodes_ = 0;
@@ -184,10 +155,44 @@ class Graph {
   std::vector<double> elen_;
   std::vector<double> ecost_;
   // CSR adjacency: halves of node u occupy adj_half_[adj_off_[u]..
-  // adj_off_[u+1]). Derived from the edge arrays; rebuilt lazily.
-  mutable std::vector<std::uint32_t> adj_off_;
-  mutable std::vector<Half> adj_half_;
-  mutable bool adj_dirty_ = true;
+  // adj_off_[u+1]). Derived from the edge arrays by build_adjacency().
+  std::vector<std::uint32_t> adj_off_;
+  std::vector<Half> adj_half_;
+};
+
+/// Collects a graph's edges; `std::move(builder).build()` then moves the
+/// edge arrays into the Graph and builds its adjacency, once.
+class GraphBuilder {
+ public:
+  explicit GraphBuilder(std::size_t n) { g_.num_nodes_ = n; }
+
+  /// Pre-size the edge arrays (builders know their edge count after dedup).
+  void reserve_edges(std::size_t m) {
+    g_.eu_.reserve(m);
+    g_.ev_.reserve(m);
+    g_.elen_.reserve(m);
+    g_.ecost_.reserve(m);
+  }
+
+  /// Add undirected edge (u, v); parallel edges are the caller's
+  /// responsibility to avoid (topology builders dedup before insertion).
+  EdgeId add_edge(NodeId u, NodeId v, double length, double cost) {
+    TN_ASSERT(u < g_.num_nodes_ && v < g_.num_nodes_ && u != v);
+    const EdgeId id = static_cast<EdgeId>(g_.eu_.size());
+    g_.eu_.push_back(u);
+    g_.ev_.push_back(v);
+    g_.elen_.push_back(length);
+    g_.ecost_.push_back(cost);
+    return id;
+  }
+
+  Graph build() && {
+    g_.build_adjacency();
+    return std::move(g_);
+  }
+
+ private:
+  Graph g_;
 };
 
 /// Proxy iterator over a Graph's edges: dereferences to an Edge *value*

@@ -26,13 +26,12 @@ std::vector<EdgeId> mst_edges(const Graph& g, Weight weight) {
 }
 
 Graph mst_subgraph(const Graph& g, Weight weight) {
-  Graph out(g.num_nodes());
+  GraphBuilder out(g.num_nodes());
   for (const EdgeId e : mst_edges(g, weight)) {
     const Edge& edge = g.edge(e);
     out.add_edge(edge.u, edge.v, edge.length, edge.cost);
   }
-  out.finalize();
-  return out;
+  return std::move(out).build();
 }
 
 }  // namespace thetanet::graph

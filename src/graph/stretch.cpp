@@ -49,10 +49,6 @@ StretchPartial merge(StretchPartial acc, StretchPartial part) {
 StretchStats edge_stretch(const Graph& h, const Graph& base, Weight weight) {
   TN_ASSERT(h.num_nodes() == base.num_nodes());
   const std::size_t n = base.num_nodes();
-  // The workers below only read adjacency; build it here, serially, in
-  // case a caller added edges since the last build.
-  h.finalize();
-  base.finalize();
 
   // One Dijkstra in H per node that has base-neighbours; compare against each
   // incident base edge once (u < v).
@@ -100,10 +96,6 @@ StretchStats edge_stretch(const Graph& h, const Graph& base, Weight weight) {
 StretchStats pairwise_stretch(const Graph& h, const Graph& base, Weight weight) {
   TN_ASSERT(h.num_nodes() == base.num_nodes());
   const std::size_t n = base.num_nodes();
-  // The workers below only read adjacency; build it here, serially, in
-  // case a caller added edges since the last build.
-  h.finalize();
-  base.finalize();
   if (n < 2) return {};
 
   StretchPartial merged = tn::parallel_reduce(

@@ -156,9 +156,6 @@ RoutingRatioStats measure_routing_ratio(const graph::Graph& g,
       pairs.emplace_back(s, t);
     }
   }
-  // The workers below only read adjacency; build it here, serially, in
-  // case a caller added edges since the last build.
-  g.finalize();
   struct Acc {
     std::size_t routed = 0;
     std::size_t delivered = 0;

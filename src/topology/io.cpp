@@ -5,6 +5,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <vector>
 
 namespace thetanet::topo {
 namespace {
@@ -34,7 +35,9 @@ std::optional<Deployment> load_deployment(std::istream& is) {
   if (!(is >> tag >> version >> n >> d.max_range >> d.kappa)) return std::nullopt;
   if (tag != "deployment" || version != "v1") return std::nullopt;
   if (d.max_range <= 0.0 || d.kappa < 1.0) return std::nullopt;
-  d.positions.reserve(n);
+  // Node ids are 32-bit. No reserve(n): a header that overstates n fails at
+  // its first missing line instead of allocating for it.
+  if (n >= graph::kInvalidNode) return std::nullopt;
   for (std::size_t i = 0; i < n; ++i) {
     geom::Vec2 p;
     if (!(is >> p.x >> p.y)) return std::nullopt;
@@ -68,16 +71,25 @@ std::optional<graph::Graph> load_graph(std::istream& is) {
   std::size_t n = 0, m = 0;
   if (!(is >> tag >> version >> n >> m)) return std::nullopt;
   if (tag != "graph" || version != "v1") return std::nullopt;
-  graph::Graph g(n);
+  if (n >= graph::kInvalidNode) return std::nullopt;
+  graph::GraphBuilder b(n);
   for (std::size_t i = 0; i < m; ++i) {
     graph::NodeId u, v;
     double len, cost;
     if (!(is >> u >> v >> len >> cost)) return std::nullopt;
     if (u >= n || v >= n || u == v || len < 0.0 || cost < 0.0)
       return std::nullopt;
-    g.add_edge(u, v, len, cost);
+    b.add_edge(u, v, len, cost);
   }
-  g.finalize();
+  graph::Graph g = std::move(b).build();
+  // Graph leaves parallel edges to its caller; a file may hold `u v` twice,
+  // or both `u v` and `v u`.
+  std::vector<graph::NodeId> seen_from(n, graph::kInvalidNode);
+  for (graph::NodeId u = 0; u < n; ++u)
+    for (const graph::Half& h : g.neighbors(u)) {
+      if (seen_from[h.to] == u) return std::nullopt;
+      seen_from[h.to] = u;
+    }
   return g;
 }
 

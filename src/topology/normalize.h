@@ -35,14 +35,13 @@ inline void normalize_edges(std::vector<EdgePair>& pairs) {
 /// id-assignment convention of every builder.
 inline graph::Graph graph_from_pairs(const Deployment& d,
                                      const std::vector<EdgePair>& pairs) {
-  graph::Graph g(d.size());
-  g.reserve_edges(pairs.size());
+  graph::GraphBuilder b(d.size());
+  b.reserve_edges(pairs.size());
   for (const auto& [u, v] : pairs) {
     const double len = d.distance(u, v);
-    g.add_edge(u, v, len, d.cost_of_length(len));
+    b.add_edge(u, v, len, d.cost_of_length(len));
   }
-  g.finalize();
-  return g;
+  return std::move(b).build();
 }
 
 }  // namespace thetanet::topo

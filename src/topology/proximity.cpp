@@ -38,8 +38,7 @@ std::vector<EdgePair> concat(std::vector<EdgePair> acc,
 template <typename Keep>
 graph::Graph build_pairwise(const Deployment& d, const Keep& keep) {
   const std::size_t n = d.size();
-  graph::Graph g(n);
-  if (n < 2) return g;
+  if (n < 2) return graph::Graph(n);
   const geom::SpatialGrid grid(d.positions, d.max_range);
   const std::vector<EdgePair> kept = tn::parallel_reduce(
       n, 32, std::vector<EdgePair>{},
@@ -60,13 +59,7 @@ graph::Graph build_pairwise(const Deployment& d, const Keep& keep) {
         return out;
       },
       concat);
-  g.reserve_edges(kept.size());
-  for (const auto& [u, v] : kept) {
-    const double len = d.distance(u, v);
-    g.add_edge(u, v, len, d.cost_of_length(len));
-  }
-  g.finalize();
-  return g;
+  return graph_from_pairs(d, kept);
 }
 
 }  // namespace

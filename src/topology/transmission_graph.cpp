@@ -12,8 +12,7 @@ namespace thetanet::topo {
 
 graph::Graph build_transmission_graph(const Deployment& d) {
   const std::size_t n = d.size();
-  graph::Graph g(n);
-  if (n < 2) return g;
+  if (n < 2) return graph::Graph(n);
   // Morton-ordered discovery: grid and query loop both run over the Z-order
   // permutation, so consecutive queries scan adjacent (cached) cells. Each
   // unordered pair is discovered exactly twice — once from each endpoint —
@@ -55,15 +54,15 @@ graph::Graph build_transmission_graph(const Deployment& d) {
     tn::radix_sort_u64(packed,
                        scope.arena().alloc_span<std::uint64_t>(packed.size()));
   }
-  g.reserve_edges(packed.size());
+  graph::GraphBuilder b(n);
+  b.reserve_edges(packed.size());
   for (const std::uint64_t key : packed) {
     const auto u = static_cast<graph::NodeId>(key >> 32);
     const auto v = static_cast<graph::NodeId>(key & 0xffffffffu);
     const double len = d.distance(u, v);
-    g.add_edge(u, v, len, d.cost_of_length(len));
+    b.add_edge(u, v, len, d.cost_of_length(len));
   }
-  g.finalize();
-  return g;
+  return std::move(b).build();
 }
 
 }  // namespace thetanet::topo

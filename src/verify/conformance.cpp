@@ -252,15 +252,14 @@ graph::Graph compact_maintained_graph(const core::ThetaMaintainer& m,
                                         graph::kInvalidNode);
   for (std::size_t i = 0; i < ids.size(); ++i)
     to_compact[ids[i]] = static_cast<graph::NodeId>(i);
-  graph::Graph out(ids.size());
+  graph::GraphBuilder out(ids.size());
   for (graph::EdgeId e = 0; e < m.graph().num_edges(); ++e) {
     const graph::Edge& ed = m.graph().edge(e);
     TN_ASSERT(to_compact[ed.u] != graph::kInvalidNode &&
               to_compact[ed.v] != graph::kInvalidNode);
     out.add_edge(to_compact[ed.u], to_compact[ed.v], ed.length, ed.cost);
   }
-  out.finalize();
-  return out;
+  return std::move(out).build();
 }
 
 }  // namespace

@@ -49,11 +49,10 @@ std::string edge_str(const graph::Edge& e) {
 
 /// Rebuild a graph with costs |uv|^kappa (topology structure unchanged).
 graph::Graph recost(const graph::Graph& g, double kappa) {
-  graph::Graph out(g.num_nodes());
+  graph::GraphBuilder out(g.num_nodes());
   for (const graph::Edge& e : g.edges())
     out.add_edge(e.u, e.v, e.length, std::pow(e.length, kappa));
-  out.finalize();
-  return out;
+  return std::move(out).build();
 }
 
 }  // namespace

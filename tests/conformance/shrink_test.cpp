@@ -26,13 +26,13 @@ void drop_longest_edge(graph::Graph& g, const topo::Deployment& d) {
   graph::EdgeId longest = 0;
   for (graph::EdgeId e = 1; e < static_cast<graph::EdgeId>(g.num_edges()); ++e)
     if (g.edge(e).length > g.edge(longest).length) longest = e;
-  graph::Graph out(g.num_nodes());
+  graph::GraphBuilder out(g.num_nodes());
   for (graph::EdgeId e = 0; e < static_cast<graph::EdgeId>(g.num_edges()); ++e)
     if (e != longest) {
       const graph::Edge& ed = g.edge(e);
       out.add_edge(ed.u, ed.v, ed.length, ed.cost);
     }
-  g = std::move(out);
+  g = std::move(out).build();
 }
 
 verify::ConformanceOptions fast_options() {

@@ -28,9 +28,10 @@ verify::ScenarioSpec uniform_spec(std::size_t n, std::uint64_t seed) {
   return spec;
 }
 
-/// Rebuild g without edge `victim` (Graph has no removal).
-graph::Graph without_edge(const graph::Graph& g, graph::EdgeId victim) {
-  graph::Graph out(g.num_nodes());
+/// A builder holding g's edges except `victim` (kInvalidEdge keeps all).
+graph::GraphBuilder edges_of(const graph::Graph& g,
+                             graph::EdgeId victim = graph::kInvalidEdge) {
+  graph::GraphBuilder out(g.num_nodes());
   for (graph::EdgeId e = 0; e < static_cast<graph::EdgeId>(g.num_edges()); ++e)
     if (e != victim) {
       const graph::Edge& ed = g.edge(e);
@@ -56,7 +57,7 @@ TEST(ThetaInvariantChecker, FlagsDeletedAdmittedEdge) {
   const graph::Graph gstar = topo::build_transmission_graph(d);
   const core::ThetaTopology tt(d, kTheta);
   ASSERT_GT(tt.graph().num_edges(), 0u);
-  const graph::Graph mutated = without_edge(tt.graph(), 0);
+  const graph::Graph mutated = edges_of(tt.graph(), 0).build();
   const verify::CheckReport r =
       verify::check_theta_invariants(mutated, d, kTheta, gstar, &tt);
   EXPECT_FALSE(r.pass());
@@ -71,10 +72,11 @@ TEST(ThetaInvariantChecker, FlagsForeignEdge) {
       verify::build_scenario_deployment(uniform_spec(32, 6));
   const graph::Graph gstar = topo::build_transmission_graph(d);
   const core::ThetaTopology tt(d, kTheta);
-  graph::Graph mutated = tt.graph();
+  graph::GraphBuilder b = edges_of(tt.graph());
   // An out-of-range fabricated edge violates range, G*-membership, and the
   // stored-weight consistency rules at once.
-  mutated.add_edge(0, static_cast<graph::NodeId>(d.size() - 1), 99.0, 99.0);
+  b.add_edge(0, static_cast<graph::NodeId>(d.size() - 1), 99.0, 99.0);
+  const graph::Graph mutated = std::move(b).build();
   const verify::CheckReport r =
       verify::check_theta_invariants(mutated, d, kTheta, gstar, &tt);
   EXPECT_FALSE(r.pass());

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "core/balancing_router.h"
 #include "geom/rng.h"
 
@@ -12,14 +14,14 @@ namespace thetanet::core {
 namespace {
 
 graph::Graph random_graph(std::size_t n, double p, geom::Rng& rng) {
-  graph::Graph g(n);
+  graph::GraphBuilder b(n);
   for (graph::NodeId u = 0; u < n; ++u)
     for (graph::NodeId v = u + 1; v < n; ++v)
       if (rng.bernoulli(p)) {
         const double len = rng.uniform(0.1, 1.0);
-        g.add_edge(u, v, len, len * len);
+        b.add_edge(u, v, len, len * len);
       }
-  return g;
+  return std::move(b).build();
 }
 
 class BalancingFuzz : public ::testing::TestWithParam<std::uint64_t> {};

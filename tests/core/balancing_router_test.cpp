@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <utility>
 #include <vector>
 
 #include "geom/rng.h"
@@ -22,10 +23,10 @@ Packet mk(std::uint64_t id, graph::NodeId src, graph::NodeId dst,
 
 /// Path graph 0 - 1 - 2 with unit lengths/costs.
 graph::Graph path3() {
-  graph::Graph g(3);
-  g.add_edge(0, 1, 1.0, 1.0);
-  g.add_edge(1, 2, 1.0, 1.0);
-  return g;
+  graph::GraphBuilder b(3);
+  b.add_edge(0, 1, 1.0, 1.0);
+  b.add_edge(1, 2, 1.0, 1.0);
+  return std::move(b).build();
 }
 
 std::vector<double> costs_of(const graph::Graph& g) {
@@ -62,9 +63,10 @@ TEST(BalancingRouter, BenefitMustExceedThreshold) {
 
 TEST(BalancingRouter, GammaPenalizesExpensiveEdges) {
   // Same heights; with gamma > 0 the costlier edge needs a higher gradient.
-  graph::Graph g(3);
-  g.add_edge(0, 1, 1.0, 1.0);   // cheap
-  g.add_edge(0, 2, 2.0, 10.0);  // expensive
+  graph::GraphBuilder b(3);
+  b.add_edge(0, 1, 1.0, 1.0);   // cheap
+  b.add_edge(0, 2, 2.0, 10.0);  // expensive
+  const graph::Graph g = std::move(b).build();
   RunMetrics m;
   BalancingRouter r(3, {1.0, 0.5, 16});  // gamma = 0.5
   for (int i = 0; i < 4; ++i) r.inject(mk(static_cast<std::uint64_t>(i), 0, 2), m);
@@ -149,9 +151,10 @@ TEST(BalancingRouter, InjectionOverflowIsDeleted) {
 
 TEST(BalancingRouter, SkipsWhenEarlierTxDrainedTheBuffer) {
   // Node 0 has one packet but two active edges both plan to move it.
-  graph::Graph g(3);
-  g.add_edge(0, 1, 1.0, 1.0);
-  g.add_edge(0, 2, 1.0, 1.0);
+  graph::GraphBuilder b(3);
+  b.add_edge(0, 1, 1.0, 1.0);
+  b.add_edge(0, 2, 1.0, 1.0);
+  const graph::Graph g = std::move(b).build();
   RunMetrics m;
   BalancingRouter r(3, {0.0, 0.0, 16});  // T = 0: any positive gradient sends
   // One packet at node 0 for destination 1. Both active edges see a
@@ -203,10 +206,10 @@ graph::Graph graph_with_edges(std::size_t n, std::size_t num_edges,
   EXPECT_LE(num_edges, pairs.size());
   for (std::size_t i = 0; i < num_edges; ++i)
     std::swap(pairs[i], pairs[i + rng.uniform_index(pairs.size() - i)]);
-  graph::Graph g(n);
+  graph::GraphBuilder b(n);
   for (std::size_t i = 0; i < num_edges; ++i)
-    g.add_edge(pairs[i].first, pairs[i].second, 1.0, 1.0);
-  return g;
+    b.add_edge(pairs[i].first, pairs[i].second, 1.0, 1.0);
+  return std::move(b).build();
 }
 
 /// The definition, by brute force: every edge with a buffering endpoint,

@@ -8,6 +8,7 @@
 #include <map>
 #include <optional>
 #include <unordered_map>
+#include <utility>
 
 #include "topology/distributions.h"
 #include "topology/transmission_graph.h"
@@ -171,9 +172,10 @@ TEST(Honeycomb, ResolveUsesFixedGuardDistance) {
   d.positions = {{0, 0}, {1, 0}, {2.51, 0}, {3.51, 0}};
   d.max_range = 1.0;
   d.kappa = 2.0;
-  graph::Graph g(4);
-  g.add_edge(0, 1, 1.0, 1.0);
-  g.add_edge(2, 3, 1.0, 1.0);
+  graph::GraphBuilder b(4);
+  b.add_edge(0, 1, 1.0, 1.0);
+  b.add_edge(2, 3, 1.0, 1.0);
+  const graph::Graph g = std::move(b).build();
   const HoneycombMac mac(d, g, HoneycombParams{0.5, 1.0 / 6.0});
   std::vector<PlannedTx> txs(2);
   txs[0] = {0, 0, 1, 3, 1.0};

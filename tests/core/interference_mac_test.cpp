@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <numbers>
+#include <utility>
 
 #include "core/theta_topology.h"
 #include "topology/distributions.h"
@@ -107,10 +108,11 @@ TEST(RandomizedMac, ResolveFlagsInterferingPlannedTransmissions) {
   d.positions = {{0, 0}, {0.5, 0}, {0.7, 0}, {1.2, 0}, {10, 0}, {10.5, 0}};
   d.max_range = 0.6;
   d.kappa = 2.0;
-  graph::Graph g(6);
-  g.add_edge(0, 1, 0.5, 0.25);
-  g.add_edge(2, 3, 0.5, 0.25);
-  g.add_edge(4, 5, 0.5, 0.25);
+  graph::GraphBuilder b(6);
+  b.add_edge(0, 1, 0.5, 0.25);
+  b.add_edge(2, 3, 0.5, 0.25);
+  b.add_edge(4, 5, 0.5, 0.25);
+  const graph::Graph g = std::move(b).build();
   const RandomizedMac mac(g, d, interf::InterferenceModel{1.0});
   std::vector<PlannedTx> txs(3);
   txs[0] = {0, 0, 1, 5, 1.0};
@@ -162,8 +164,9 @@ TEST(RandomizedMac, DegenerateSingleEdge) {
   d.positions = {{0, 0}, {0.5, 0}};
   d.max_range = 1.0;
   d.kappa = 2.0;
-  graph::Graph g(2);
-  g.add_edge(0, 1, 0.5, 0.25);
+  graph::GraphBuilder b(2);
+  b.add_edge(0, 1, 0.5, 0.25);
+  const graph::Graph g = std::move(b).build();
   const RandomizedMac mac(g, d, interf::InterferenceModel{1.0});
   EXPECT_EQ(mac.interference_bound(), 1U);  // floor of 1, never divides by 0
   EXPECT_DOUBLE_EQ(mac.activation_prob(0), 0.5);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "routing/adversary.h"
 #include "topology/distributions.h"
 #include "topology/transmission_graph.h"
@@ -10,10 +12,10 @@ namespace thetanet::core {
 namespace {
 
 graph::Graph path3() {
-  graph::Graph g(3);
-  g.add_edge(0, 1, 1.0, 1.0);
-  g.add_edge(1, 2, 1.0, 1.0);
-  return g;
+  graph::GraphBuilder b(3);
+  b.add_edge(0, 1, 1.0, 1.0);
+  b.add_edge(1, 2, 1.0, 1.0);
+  return std::move(b).build();
 }
 
 std::vector<double> costs_of(const graph::Graph& g) {
@@ -72,8 +74,9 @@ TEST(QuantizedRouter, ControlBytesFollowTheWireModel) {
 
 TEST(QuantizedRouter, RetirementCostsRetireBytes) {
   // Single edge so the one packet cannot oscillate: 0 -> 1 is a delivery.
-  graph::Graph g(2);
-  g.add_edge(0, 1, 1.0, 1.0);
+  graph::GraphBuilder b(2);
+  b.add_edge(0, 1, 1.0, 1.0);
+  const graph::Graph g = std::move(b).build();
   const auto costs = costs_of(g);
   QuantizedHeightRouter r(2, {0.5, 0.0, 16}, 1);
   route::RunMetrics m;

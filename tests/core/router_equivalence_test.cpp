@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "common/parallel.h"
@@ -18,14 +19,14 @@ namespace thetanet::core {
 namespace {
 
 graph::Graph random_graph(std::size_t n, double p, geom::Rng& rng) {
-  graph::Graph g(n);
+  graph::GraphBuilder b(n);
   for (graph::NodeId u = 0; u < n; ++u)
     for (graph::NodeId v = u + 1; v < n; ++v)
       if (rng.bernoulli(p)) {
         const double len = rng.uniform(0.1, 1.0);
-        g.add_edge(u, v, len, len * len);
+        b.add_edge(u, v, len, len * len);
       }
-  return g;
+  return std::move(b).build();
 }
 
 std::vector<double> costs_of(const graph::Graph& g) {

@@ -324,8 +324,8 @@ TEST(ThetaMaintainerChurn, ChurnResultIdenticalAcrossThreadCounts) {
 TEST(ThetaMaintainerChurn, ConcurrentCheckerEvaluation) {
   // Concurrent read-only audits over one maintainer must be race-free: the
   // ctest TSAN variant (theta_maintenance_churn_tsan) runs this under
-  // -fsanitize=thread. finalize() the graph first — lazy adjacency builds
-  // are documented as not-thread-safe, audits after that are pure reads.
+  // -fsanitize=thread. The maintained graph is immutable between
+  // operations, so the audits are pure reads.
   ThetaMaintainer maintainer(make_deployment(48, 0.35, 31), kTheta);
   geom::Rng rng(32);
   for (int step = 0; step < 10; ++step) {
@@ -335,7 +335,6 @@ TEST(ThetaMaintainerChurn, ConcurrentCheckerEvaluation) {
     else
       maintainer.activate_node(v);
   }
-  maintainer.graph().finalize();
   std::vector<std::thread> workers;
   std::vector<int> ok(4, 0);
   for (int t = 0; t < 4; ++t)

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 
 #include "geom/rng.h"
 #include "graph/connectivity.h"
@@ -18,9 +19,10 @@ TEST(Connectivity, EmptyAndSingleton) {
 }
 
 TEST(Connectivity, TwoComponents) {
-  Graph g(4);
-  g.add_edge(0, 1, 1.0, 1.0);
-  g.add_edge(2, 3, 1.0, 1.0);
+  GraphBuilder b(4);
+  b.add_edge(0, 1, 1.0, 1.0);
+  b.add_edge(2, 3, 1.0, 1.0);
+  const Graph g = std::move(b).build();
   EXPECT_FALSE(is_connected(g));
   EXPECT_EQ(num_components(g), 2U);
   const auto labels = component_labels(g);
@@ -30,24 +32,27 @@ TEST(Connectivity, TwoComponents) {
 }
 
 TEST(Connectivity, LabelsAreDense) {
-  Graph g(5);
-  g.add_edge(1, 3, 1.0, 1.0);
+  GraphBuilder b(5);
+  b.add_edge(1, 3, 1.0, 1.0);
+  const Graph g = std::move(b).build();
   const auto labels = component_labels(g);
   const std::uint32_t max_label = *std::max_element(labels.begin(), labels.end());
   EXPECT_EQ(max_label + 1, num_components(g));
 }
 
 TEST(Mst, PathGraphKeepsEverything) {
-  Graph g(4);
-  for (NodeId i = 0; i + 1 < 4; ++i) g.add_edge(i, i + 1, 1.0, 1.0);
+  GraphBuilder b(4);
+  for (NodeId i = 0; i + 1 < 4; ++i) b.add_edge(i, i + 1, 1.0, 1.0);
+  const Graph g = std::move(b).build();
   EXPECT_EQ(mst_edges(g, Weight::kLength).size(), 3U);
 }
 
 TEST(Mst, DropsTheHeaviestCycleEdge) {
-  Graph g(3);
-  g.add_edge(0, 1, 1.0, 1.0);
-  g.add_edge(1, 2, 2.0, 4.0);
-  const EdgeId heavy = g.add_edge(0, 2, 3.0, 9.0);
+  GraphBuilder b(3);
+  b.add_edge(0, 1, 1.0, 1.0);
+  b.add_edge(1, 2, 2.0, 4.0);
+  const EdgeId heavy = b.add_edge(0, 2, 3.0, 9.0);
+  const Graph g = std::move(b).build();
   const auto edges = mst_edges(g, Weight::kLength);
   EXPECT_EQ(edges.size(), 2U);
   EXPECT_EQ(std::count(edges.begin(), edges.end(), heavy), 0);
@@ -56,10 +61,11 @@ TEST(Mst, DropsTheHeaviestCycleEdge) {
 TEST(Mst, WeightKindMatters) {
   // length order: e02 (2.9) < e01 (2.0 + 1.1 via cost trick)... build edges
   // where length order and cost order differ.
-  Graph g(3);
-  const EdgeId e01 = g.add_edge(0, 1, 2.0, 1.0);  // long but cheap
-  const EdgeId e12 = g.add_edge(1, 2, 2.0, 1.0);
-  const EdgeId e02 = g.add_edge(0, 2, 1.0, 9.0);  // short but expensive
+  GraphBuilder b(3);
+  const EdgeId e01 = b.add_edge(0, 1, 2.0, 1.0);  // long but cheap
+  const EdgeId e12 = b.add_edge(1, 2, 2.0, 1.0);
+  const EdgeId e02 = b.add_edge(0, 2, 1.0, 9.0);  // short but expensive
+  const Graph g = std::move(b).build();
   const auto by_len = mst_edges(g, Weight::kLength);
   EXPECT_TRUE(std::count(by_len.begin(), by_len.end(), e02) == 1);
   const auto by_cost = mst_edges(g, Weight::kCost);
@@ -69,22 +75,24 @@ TEST(Mst, WeightKindMatters) {
 }
 
 TEST(Mst, SpanningForestOnDisconnectedGraph) {
-  Graph g(5);
-  g.add_edge(0, 1, 1.0, 1.0);
-  g.add_edge(1, 2, 1.0, 1.0);
-  g.add_edge(3, 4, 1.0, 1.0);
+  GraphBuilder b(5);
+  b.add_edge(0, 1, 1.0, 1.0);
+  b.add_edge(1, 2, 1.0, 1.0);
+  b.add_edge(3, 4, 1.0, 1.0);
+  const Graph g = std::move(b).build();
   EXPECT_EQ(mst_edges(g, Weight::kLength).size(), 3U);  // n - #components
 }
 
 TEST(Mst, SubgraphPreservesConnectivityAndWeight) {
   geom::Rng rng(55);
-  Graph g(40);
+  GraphBuilder b(40);
   for (NodeId u = 0; u < 40; ++u)
     for (NodeId v = u + 1; v < 40; ++v)
       if (rng.bernoulli(0.2)) {
         const double len = rng.uniform(0.1, 1.0);
-        g.add_edge(u, v, len, len * len);
+        b.add_edge(u, v, len, len * len);
       }
+  const Graph g = std::move(b).build();
     // (random graph at p=0.2 and n=40 is connected with overwhelming prob.)
   ASSERT_TRUE(is_connected(g));
   const Graph t = mst_subgraph(g, Weight::kLength);

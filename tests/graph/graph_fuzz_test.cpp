@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "geom/rng.h"
@@ -16,7 +17,7 @@ class GraphFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(GraphFuzz, MatchesAdjacencyMatrixReference) {
   geom::Rng rng(GetParam());
   const std::size_t n = 2 + rng.uniform_index(30);
-  Graph g(n);
+  GraphBuilder b(n);
   std::vector<std::vector<double>> ref(n, std::vector<double>(n, -1.0));
   std::size_t edges = 0;
 
@@ -26,10 +27,11 @@ TEST_P(GraphFuzz, MatchesAdjacencyMatrixReference) {
     if (v >= u) ++v;
     if (ref[u][v] >= 0.0) continue;  // no parallel edges
     const double len = rng.uniform(0.1, 2.0);
-    g.add_edge(u, v, len, len * len);
+    b.add_edge(u, v, len, len * len);
     ref[u][v] = ref[v][u] = len;
     ++edges;
   }
+  const Graph g = std::move(b).build();
 
   EXPECT_EQ(g.num_edges(), edges);
   double total_len = 0.0;

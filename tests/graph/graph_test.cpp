@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 namespace thetanet::graph {
 namespace {
 
@@ -13,9 +15,10 @@ TEST(Graph, EmptyGraph) {
 }
 
 TEST(Graph, AddEdgeBasics) {
-  Graph g(4);
-  const EdgeId e = g.add_edge(0, 2, 1.5, 2.25);
+  GraphBuilder b(4);
+  const EdgeId e = b.add_edge(0, 2, 1.5, 2.25);
   EXPECT_EQ(e, 0U);
+  const Graph g = std::move(b).build();
   EXPECT_EQ(g.num_edges(), 1U);
   EXPECT_EQ(g.degree(0), 1U);
   EXPECT_EQ(g.degree(2), 1U);
@@ -28,25 +31,28 @@ TEST(Graph, AddEdgeBasics) {
 }
 
 TEST(Graph, EdgeOther) {
-  Graph g(3);
-  const EdgeId e = g.add_edge(1, 2, 1.0, 1.0);
+  GraphBuilder b(3);
+  const EdgeId e = b.add_edge(1, 2, 1.0, 1.0);
+  const Graph g = std::move(b).build();
   EXPECT_EQ(g.edge(e).other(1), 2U);
   EXPECT_EQ(g.edge(e).other(2), 1U);
 }
 
 TEST(Graph, FindEdge) {
-  Graph g(5);
-  g.add_edge(0, 1, 1.0, 1.0);
-  const EdgeId e = g.add_edge(1, 3, 2.0, 4.0);
+  GraphBuilder b(5);
+  b.add_edge(0, 1, 1.0, 1.0);
+  const EdgeId e = b.add_edge(1, 3, 2.0, 4.0);
+  const Graph g = std::move(b).build();
   EXPECT_EQ(g.find_edge(1, 3), e);
   EXPECT_EQ(g.find_edge(3, 1), e);
   EXPECT_EQ(g.find_edge(0, 3), kInvalidEdge);
 }
 
 TEST(Graph, NeighborsSeeBothEndpoints) {
-  Graph g(3);
-  g.add_edge(0, 1, 1.0, 1.0);
-  g.add_edge(0, 2, 2.0, 4.0);
+  GraphBuilder b(3);
+  b.add_edge(0, 1, 1.0, 1.0);
+  b.add_edge(0, 2, 2.0, 4.0);
+  const Graph g = std::move(b).build();
   const auto nbrs = g.neighbors(0);
   ASSERT_EQ(nbrs.size(), 2U);
   EXPECT_EQ(nbrs[0].to, 1U);
@@ -56,10 +62,11 @@ TEST(Graph, NeighborsSeeBothEndpoints) {
 }
 
 TEST(Graph, MaxDegreeAndTotals) {
-  Graph g(4);
-  g.add_edge(0, 1, 1.0, 1.0);
-  g.add_edge(0, 2, 2.0, 4.0);
-  g.add_edge(0, 3, 3.0, 9.0);
+  GraphBuilder b(4);
+  b.add_edge(0, 1, 1.0, 1.0);
+  b.add_edge(0, 2, 2.0, 4.0);
+  b.add_edge(0, 3, 3.0, 9.0);
+  const Graph g = std::move(b).build();
   EXPECT_EQ(g.max_degree(), 3U);
   EXPECT_DOUBLE_EQ(g.total_length(), 6.0);
   EXPECT_DOUBLE_EQ(g.total_cost(), 14.0);

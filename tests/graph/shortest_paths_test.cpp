@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "geom/rng.h"
@@ -15,11 +16,11 @@ namespace {
 ///    \             /
 ///     ----5-------
 Graph triangle() {
-  Graph g(3);
-  g.add_edge(0, 1, 1.0, 1.0);
-  g.add_edge(1, 2, 1.0, 1.0);
-  g.add_edge(0, 2, 5.0, 25.0);
-  return g;
+  GraphBuilder b(3);
+  b.add_edge(0, 1, 1.0, 1.0);
+  b.add_edge(1, 2, 1.0, 1.0);
+  b.add_edge(0, 2, 5.0, 25.0);
+  return std::move(b).build();
 }
 
 TEST(Dijkstra, PicksTheCheaperTwoHopPath) {
@@ -32,10 +33,11 @@ TEST(Dijkstra, PicksTheCheaperTwoHopPath) {
 }
 
 TEST(Dijkstra, WeightKindChangesTheAnswer) {
-  Graph g(3);
-  g.add_edge(0, 1, 2.0, 4.0);
-  g.add_edge(1, 2, 2.0, 4.0);
-  g.add_edge(0, 2, 3.0, 9.0);
+  GraphBuilder b(3);
+  b.add_edge(0, 1, 2.0, 4.0);
+  b.add_edge(1, 2, 2.0, 4.0);
+  b.add_edge(0, 2, 3.0, 9.0);
+  const Graph g = std::move(b).build();
   // By length: direct edge 3 < 4.
   EXPECT_DOUBLE_EQ(dijkstra(g, 0, Weight::kLength).dist[2], 3.0);
   // By cost (kappa = 2): relaying 8 < 9 — the energy-relaying effect the
@@ -46,8 +48,9 @@ TEST(Dijkstra, WeightKindChangesTheAnswer) {
 }
 
 TEST(Dijkstra, UnreachableNodesAreInfinity) {
-  Graph g(4);
-  g.add_edge(0, 1, 1.0, 1.0);
+  GraphBuilder b(4);
+  b.add_edge(0, 1, 1.0, 1.0);
+  const Graph g = std::move(b).build();
   const ShortestPathTree t = dijkstra(g, 0, Weight::kLength);
   EXPECT_EQ(t.dist[2], kUnreachable);
   EXPECT_EQ(t.dist[3], kUnreachable);
@@ -74,13 +77,14 @@ TEST(Dijkstra, MatchesBellmanFordOnRandomGraphs) {
   geom::Rng rng(71);
   for (int trial = 0; trial < 10; ++trial) {
     const std::size_t n = 30;
-    Graph g(n);
+    GraphBuilder b(n);
     for (NodeId u = 0; u < n; ++u)
       for (NodeId v = u + 1; v < n; ++v)
         if (rng.bernoulli(0.15)) {
           const double len = rng.uniform(0.1, 2.0);
-          g.add_edge(u, v, len, len * len);
+          b.add_edge(u, v, len, len * len);
         }
+    const Graph g = std::move(b).build();
     const ShortestPathTree t = dijkstra(g, 0, Weight::kLength);
     // Bellman-Ford reference.
     std::vector<double> dist(n, kUnreachable);
@@ -102,8 +106,9 @@ TEST(Dijkstra, MatchesBellmanFordOnRandomGraphs) {
 
 TEST(Dijkstra, StopAfterSettledTruncatesSearch) {
   // Path graph 0-1-2-3-4: settling 2 nodes leaves the far end unreached.
-  Graph g(5);
-  for (NodeId i = 0; i + 1 < 5; ++i) g.add_edge(i, i + 1, 1.0, 1.0);
+  GraphBuilder b(5);
+  for (NodeId i = 0; i + 1 < 5; ++i) b.add_edge(i, i + 1, 1.0, 1.0);
+  const Graph g = std::move(b).build();
   const ShortestPathTree t = dijkstra(g, 0, Weight::kLength, 2);
   EXPECT_DOUBLE_EQ(t.dist[1], 1.0);
   // Node 2 was relaxed but nodes beyond were not.
@@ -119,8 +124,9 @@ TEST(BfsHops, CountsEdges) {
 }
 
 TEST(BfsHops, DisconnectedComponent) {
-  Graph g(3);
-  g.add_edge(0, 1, 1.0, 1.0);
+  GraphBuilder b(3);
+  b.add_edge(0, 1, 1.0, 1.0);
+  const Graph g = std::move(b).build();
   const std::vector<double> hops = bfs_hops(g, 0);
   EXPECT_EQ(hops[2], kUnreachable);
 }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "geom/rng.h"
 #include "graph/shortest_paths.h"
 
@@ -16,14 +18,14 @@ Graph random_geometric(std::size_t n, double radius, double kappa,
     py[i] = rng.uniform(0.0, 1.0);
   }
   if (xs != nullptr) *xs = px;
-  Graph g(n);
+  GraphBuilder b(n);
   for (NodeId u = 0; u < n; ++u)
     for (NodeId v = u + 1; v < n; ++v) {
       const double dx = px[u] - px[v], dy = py[u] - py[v];
       const double len = std::sqrt(dx * dx + dy * dy);
-      if (len <= radius) g.add_edge(u, v, len, std::pow(len, kappa));
+      if (len <= radius) b.add_edge(u, v, len, std::pow(len, kappa));
     }
-  return g;
+  return std::move(b).build();
 }
 
 TEST(Stretch, GraphAgainstItselfIsOne) {
@@ -39,13 +41,15 @@ TEST(Stretch, GraphAgainstItselfIsOne) {
 
 TEST(Stretch, RemovingAnEdgeCreatesStretch) {
   // Triangle with one long edge; removing a short edge forces a detour.
-  Graph base(3);
-  base.add_edge(0, 1, 1.0, 1.0);
-  base.add_edge(1, 2, 1.0, 1.0);
-  base.add_edge(0, 2, 1.5, 2.25);
-  Graph h(3);
-  h.add_edge(0, 1, 1.0, 1.0);
-  h.add_edge(1, 2, 1.0, 1.0);
+  GraphBuilder bb(3);
+  bb.add_edge(0, 1, 1.0, 1.0);
+  bb.add_edge(1, 2, 1.0, 1.0);
+  bb.add_edge(0, 2, 1.5, 2.25);
+  const Graph base = std::move(bb).build();
+  GraphBuilder hb(3);
+  hb.add_edge(0, 1, 1.0, 1.0);
+  hb.add_edge(1, 2, 1.0, 1.0);
+  const Graph h = std::move(hb).build();
   const StretchStats s = edge_stretch(h, base, Weight::kLength);
   // Pair (0,2): detour 2.0 vs direct 1.5.
   EXPECT_NEAR(s.max, 2.0 / 1.5, 1e-12);
@@ -54,11 +58,13 @@ TEST(Stretch, RemovingAnEdgeCreatesStretch) {
 }
 
 TEST(Stretch, DisconnectedSubgraphIsFlagged) {
-  Graph base(3);
-  base.add_edge(0, 1, 1.0, 1.0);
-  base.add_edge(1, 2, 1.0, 1.0);
-  Graph h(3);
-  h.add_edge(0, 1, 1.0, 1.0);
+  GraphBuilder bb(3);
+  bb.add_edge(0, 1, 1.0, 1.0);
+  bb.add_edge(1, 2, 1.0, 1.0);
+  const Graph base = std::move(bb).build();
+  GraphBuilder hb(3);
+  hb.add_edge(0, 1, 1.0, 1.0);
+  const Graph h = std::move(hb).build();
   EXPECT_TRUE(edge_stretch(h, base, Weight::kLength).disconnected);
   EXPECT_TRUE(pairwise_stretch(h, base, Weight::kLength).disconnected);
 }
@@ -69,12 +75,13 @@ TEST(Stretch, EdgeStretchBoundsPairwiseStretch) {
   for (int trial = 0; trial < 5; ++trial) {
     const Graph base = random_geometric(50, 0.5, 2.0, rng);
     // H = base with every other edge deleted (by parity of id).
-    Graph h(base.num_nodes());
+    GraphBuilder hb(base.num_nodes());
     for (EdgeId e = 0; e < base.num_edges(); ++e)
       if (e % 2 == 0) {
         const Edge& edge = base.edge(e);
-        h.add_edge(edge.u, edge.v, edge.length, edge.cost);
+        hb.add_edge(edge.u, edge.v, edge.length, edge.cost);
       }
+    const Graph h = std::move(hb).build();
     const StretchStats se = edge_stretch(h, base, Weight::kLength);
     const StretchStats sp = pairwise_stretch(h, base, Weight::kLength);
     if (se.disconnected || sp.disconnected) continue;
@@ -85,13 +92,15 @@ TEST(Stretch, EdgeStretchBoundsPairwiseStretch) {
 TEST(Stretch, CostWeightUsesEnergy) {
   // Two-hop relay is cheaper in energy than the direct edge (kappa = 2):
   // the energy edge-stretch of the pruned graph can be < 1 for that edge.
-  Graph base(3);
-  base.add_edge(0, 1, 1.0, 1.0);
-  base.add_edge(1, 2, 1.0, 1.0);
-  base.add_edge(0, 2, 2.0, 4.0);
-  Graph h(3);
-  h.add_edge(0, 1, 1.0, 1.0);
-  h.add_edge(1, 2, 1.0, 1.0);
+  GraphBuilder bb(3);
+  bb.add_edge(0, 1, 1.0, 1.0);
+  bb.add_edge(1, 2, 1.0, 1.0);
+  bb.add_edge(0, 2, 2.0, 4.0);
+  const Graph base = std::move(bb).build();
+  GraphBuilder hb(3);
+  hb.add_edge(0, 1, 1.0, 1.0);
+  hb.add_edge(1, 2, 1.0, 1.0);
+  const Graph h = std::move(hb).build();
   const StretchStats s = edge_stretch(h, base, Weight::kCost);
   // For base edge (0,2): relay cost 2 vs direct 4 -> ratio 0.5; edges (0,1)
   // and (1,2) are present in h -> ratio 1. Max is 1.
@@ -103,12 +112,13 @@ TEST(Stretch, CostWeightUsesEnergy) {
 TEST(Stretch, StatsAggregatesArePlausible) {
   geom::Rng rng(83);
   const Graph base = random_geometric(80, 0.35, 2.0, rng);
-  Graph h(base.num_nodes());
+  GraphBuilder hb(base.num_nodes());
   for (EdgeId e = 0; e < base.num_edges(); ++e)
     if (e % 3 != 0) {
       const Edge& edge = base.edge(e);
-      h.add_edge(edge.u, edge.v, edge.length, edge.cost);
+      hb.add_edge(edge.u, edge.v, edge.length, edge.cost);
     }
+  const Graph h = std::move(hb).build();
   const StretchStats s = edge_stretch(h, base, Weight::kLength);
   if (s.disconnected) GTEST_SKIP() << "random instance disconnected";
   EXPECT_GT(s.pairs, 0U);

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "interference/model.h"
 #include "topology/distributions.h"
 #include "topology/transmission_graph.h"
@@ -94,11 +96,12 @@ TEST(InterferenceMonotonicity, SubgraphHasSmallerNumber) {
   const Instance inst = make_instance(95, 80, 0.3);
   const InterferenceModel m{1.0};
   // Keep every other edge.
-  graph::Graph sub(inst.g.num_nodes());
+  graph::GraphBuilder b(inst.g.num_nodes());
   for (graph::EdgeId e = 0; e < inst.g.num_edges(); e += 2) {
     const graph::Edge& edge = inst.g.edge(e);
-    sub.add_edge(edge.u, edge.v, edge.length, edge.cost);
+    b.add_edge(edge.u, edge.v, edge.length, edge.cost);
   }
+  const graph::Graph sub = std::move(b).build();
   EXPECT_LE(interference_number(sub, inst.d, m),
             interference_number(inst.g, inst.d, m));
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 
 #include "topology/distributions.h"
 #include "topology/transmission_graph.h"
@@ -134,10 +135,11 @@ TEST(FailedTransmissions, PairwiseOutcomes) {
   d.positions = {{0, 0}, {1, 0}, {10, 0}, {11, 0}, {1.5, 0}, {2.5, 0}};
   d.max_range = 1.5;
   d.kappa = 2.0;
-  graph::Graph g(6);
-  const graph::EdgeId e01 = g.add_edge(0, 1, 1.0, 1.0);
-  const graph::EdgeId e23 = g.add_edge(2, 3, 1.0, 1.0);
-  const graph::EdgeId e45 = g.add_edge(4, 5, 1.0, 1.0);
+  graph::GraphBuilder b(6);
+  const graph::EdgeId e01 = b.add_edge(0, 1, 1.0, 1.0);
+  const graph::EdgeId e23 = b.add_edge(2, 3, 1.0, 1.0);
+  const graph::EdgeId e45 = b.add_edge(4, 5, 1.0, 1.0);
+  const graph::Graph g = std::move(b).build();
   const InterferenceModel m{0.5};  // guard radius 1.5 per unit edge
 
   // Far apart: both succeed.

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
 
 #include "topology/distributions.h"
 #include "topology/transmission_graph.h"
@@ -129,9 +130,10 @@ TEST(CertifiedAdversary, CostOverridesOnlyOnActiveEdges) {
 
 TEST(CertifiedAdversary, CostsAtAppliesOverrides) {
   geom::Rng rng(66);
-  graph::Graph topo(3);
-  topo.add_edge(0, 1, 1.0, 1.0);
-  topo.add_edge(1, 2, 2.0, 4.0);
+  graph::GraphBuilder b(3);
+  b.add_edge(0, 1, 1.0, 1.0);
+  b.add_edge(1, 2, 2.0, 4.0);
+  const graph::Graph topo = std::move(b).build();
   AdversaryTrace trace;
   trace.topology = &topo;
   trace.steps.resize(2);

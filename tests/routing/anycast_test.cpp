@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <numbers>
+#include <utility>
 
 #include "core/theta_topology.h"
 #include "graph/connectivity.h"
@@ -90,8 +91,9 @@ TEST(AnycastTrace, HonoursNoiseEdgesAndCostJitter) {
 TEST(AnycastTrace, PicksTheCheapestMember) {
   // Line topology 0-1-2-3-4; group {0, 4}; source 1 must be scheduled
   // towards 0 (1 hop), not 4 (3 hops).
-  graph::Graph topo(5);
-  for (graph::NodeId i = 0; i + 1 < 5; ++i) topo.add_edge(i, i + 1, 1.0, 1.0);
+  graph::GraphBuilder b(5);
+  for (graph::NodeId i = 0; i + 1 < 5; ++i) b.add_edge(i, i + 1, 1.0, 1.0);
+  const graph::Graph topo = std::move(b).build();
   const AnycastGroups groups({{0, 4}});
   TraceParams p;
   p.horizon = 50;

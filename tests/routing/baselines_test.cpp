@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <numbers>
+#include <utility>
 
 #include "core/theta_topology.h"
 #include "graph/connectivity.h"
@@ -72,11 +73,12 @@ TEST(GreedyGeographic, LocalMinimumDropsOnConcaveTopology) {
   };
   d.max_range = 0.62;
   d.kappa = 2.0;
-  graph::Graph g(5);
-  g.add_edge(0, 1, 0.4, 0.16);    // dead end
-  g.add_edge(0, 2, 0.45, 0.2025);
-  g.add_edge(2, 3, 0.5, 0.25);
-  g.add_edge(3, 4, 0.61, 0.37);
+  graph::GraphBuilder b(5);
+  b.add_edge(0, 1, 0.4, 0.16);    // dead end
+  b.add_edge(0, 2, 0.45, 0.2025);
+  b.add_edge(2, 3, 0.5, 0.25);
+  b.add_edge(3, 4, 0.61, 0.37);
+  const graph::Graph g = std::move(b).build();
   AdversaryTrace trace;
   trace.topology = &g;
   trace.steps.resize(200);

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "graph/connectivity.h"
 #include "graph/shortest_paths.h"
 #include "routing/baselines.h"
@@ -42,11 +44,12 @@ TEST(Gpsr, RecoversFromTheConcaveTrapGreedyDiesIn) {
   };
   d.max_range = 0.62;
   d.kappa = 2.0;
-  graph::Graph g(5);
-  g.add_edge(0, 1, 0.4, 0.16);
-  g.add_edge(0, 2, 0.45, 0.2025);
-  g.add_edge(2, 3, 0.5, 0.25);
-  g.add_edge(3, 4, 0.61, 0.37);
+  graph::GraphBuilder b(5);
+  b.add_edge(0, 1, 0.4, 0.16);
+  b.add_edge(0, 2, 0.45, 0.2025);
+  b.add_edge(2, 3, 0.5, 0.25);
+  b.add_edge(3, 4, 0.61, 0.37);
+  const graph::Graph g = std::move(b).build();
   // g is planar (it is a tree) — use it as its own planarization.
   std::vector<Injection> inj;
   for (Time t = 0; t < 10; ++t) {

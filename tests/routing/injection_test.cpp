@@ -9,27 +9,30 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
 
 #include "geom/rng.h"
 
 namespace thetanet::route {
 namespace {
 
-graph::Graph ring_graph(std::size_t n) {
-  graph::Graph g(n);
+graph::GraphBuilder ring_edges(std::size_t n) {
+  graph::GraphBuilder b(n);
   for (graph::NodeId u = 0; u < n; ++u) {
     const auto v = static_cast<graph::NodeId>((u + 1) % n);
-    g.add_edge(u, v, 1.0, 1.0);
+    b.add_edge(u, v, 1.0, 1.0);
   }
-  return g;
+  return b;
 }
 
+graph::Graph ring_graph(std::size_t n) { return ring_edges(n).build(); }
+
 graph::Graph star_plus_ring(std::size_t n, graph::NodeId hub) {
-  graph::Graph g = ring_graph(n);
+  graph::GraphBuilder b = ring_edges(n);
   for (graph::NodeId v = 0; v < n; ++v)
     if (v != hub && v != (hub + 1) % n && (hub == 0 ? v != n - 1 : true))
-      g.add_edge(hub, v, 1.0, 1.0);
-  return g;
+      b.add_edge(hub, v, 1.0, 1.0);
+  return std::move(b).build();
 }
 
 TEST(InjectionEngine, DeterministicStream) {

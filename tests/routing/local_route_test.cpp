@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 
 #include "common/parallel.h"
 #include "geom/rng.h"
@@ -136,24 +137,26 @@ TEST(LocalRoute, MeasuredRatioIsThreadInvariant) {
   tn::set_num_threads(1);
 }
 
-TEST(LocalRoute, MeasuredRatioFinalizesAHandBuiltGraphBeforeTheSweep) {
-  // A graph whose adjacency was never built: the first neighbors() call
-  // would rebuild it lazily, so the parallel sweep must not be the first
-  // reader (under -DTHETANET_TSAN=ON this case is the race probe).
+TEST(LocalRoute, MeasuredRatioOnABuilderMadeGraphAtFourThreadsMatchesSerial) {
+  // A graph copied edge by edge through a GraphBuilder and swept by four
+  // workers at once must give what the library-built G* gives serially
+  // (under -DTHETANET_TSAN=ON this case is the race probe for concurrent
+  // neighbors() reads).
   const topo::Deployment d = uniform_deployment(120, 0xdead, 0.3);
-  const graph::Graph finalized = topo::build_transmission_graph(d);
-  graph::Graph raw(d.size());
-  for (graph::EdgeId e = 0; e < finalized.num_edges(); ++e)
-    raw.add_edge(finalized.edge_u(e), finalized.edge_v(e),
-                 finalized.edge_length(e), finalized.edge_cost(e));
+  const graph::Graph gstar = topo::build_transmission_graph(d);
+  graph::GraphBuilder b(d.size());
+  for (graph::EdgeId e = 0; e < gstar.num_edges(); ++e)
+    b.add_edge(gstar.edge_u(e), gstar.edge_v(e), gstar.edge_length(e),
+               gstar.edge_cost(e));
+  const graph::Graph copy = std::move(b).build();
   route::LocalRouteOptions lr;
   lr.policy = route::LocalPolicy::kTheta;
   tn::set_num_threads(4);
   const route::RoutingRatioStats got =
-      route::measure_routing_ratio(raw, d, lr, 512, 3);
+      route::measure_routing_ratio(copy, d, lr, 512, 3);
   tn::set_num_threads(1);
   const route::RoutingRatioStats base =
-      route::measure_routing_ratio(finalized, d, lr, 512, 3);
+      route::measure_routing_ratio(gstar, d, lr, 512, 3);
   ASSERT_GT(base.pairs, 0u);
   EXPECT_EQ(got.pairs, base.pairs);
   EXPECT_EQ(got.delivered, base.delivered);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 
 #include "sim/scenarios.h"
 #include "verify/conformance.h"
@@ -21,11 +22,14 @@ using route::Time;
 
 /// Two-node, one-edge world with a single packet.
 struct Tiny {
-  graph::Graph g{2};
+  graph::Graph g = [] {
+    graph::GraphBuilder b(2);
+    b.add_edge(0, 1, 1.0, 2.0);  // base cost 2
+    return std::move(b).build();
+  }();
   AdversaryTrace trace;
 
   explicit Tiny(Time horizon = 4) {
-    g.add_edge(0, 1, 1.0, 2.0);  // base cost 2
     trace.topology = &g;
     trace.steps.resize(horizon);
     for (Time t = 0; t < horizon; ++t) trace.steps.edit(t).active = {0};
@@ -65,8 +69,9 @@ TEST(ScenarioEdge, DrainCyclesTheActivationPattern) {
   // the end of step 1, so it can move only during drain steps whose cycled
   // pattern re-activates the edge (odd steps). Delivery therefore requires
   // the drain to cycle activations.
-  graph::Graph g(2);
-  g.add_edge(0, 1, 1.0, 1.0);
+  graph::GraphBuilder b(2);
+  b.add_edge(0, 1, 1.0, 1.0);
+  const graph::Graph g = std::move(b).build();
   AdversaryTrace trace;
   trace.topology = &g;
   trace.steps.resize(2);
@@ -112,8 +117,9 @@ TEST(ScenarioEdge, CustomMacHooksDriveTheRun) {
 }
 
 TEST(ScenarioEdge, EmptyTraceIsANoOp) {
-  graph::Graph g(2);
-  g.add_edge(0, 1, 1.0, 1.0);
+  graph::GraphBuilder b(2);
+  b.add_edge(0, 1, 1.0, 1.0);
+  const graph::Graph g = std::move(b).build();
   AdversaryTrace trace;
   trace.topology = &g;  // zero steps
   const core::BalancingParams params{0.5, 0.0, 8};

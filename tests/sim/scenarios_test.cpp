@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <numbers>
+#include <utility>
 
 #include "core/theta_topology.h"
 #include "graph/connectivity.h"
@@ -88,11 +89,12 @@ TEST(MacGivenScenario, CostAwareBeatsCostBlindOnEnergy) {
   // direct edge (cost 100). All edges are always active. The theorem's
   // gamma makes the direct edge's benefit unreachable; the cost-blind
   // variant happily burns 100 units on it.
-  graph::Graph topo(4);
-  topo.add_edge(0, 1, 1.0, 1.0);
-  topo.add_edge(1, 2, 1.0, 1.0);
-  topo.add_edge(2, 3, 1.0, 1.0);
-  topo.add_edge(0, 3, 10.0, 100.0);
+  graph::GraphBuilder b(4);
+  b.add_edge(0, 1, 1.0, 1.0);
+  b.add_edge(1, 2, 1.0, 1.0);
+  b.add_edge(2, 3, 1.0, 1.0);
+  b.add_edge(0, 3, 10.0, 100.0);
+  const graph::Graph topo = std::move(b).build();
 
   route::AdversaryTrace trace;
   trace.topology = &topo;

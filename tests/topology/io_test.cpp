@@ -40,6 +40,11 @@ TEST(DeploymentIo, RejectsMalformedInput) {
   check_bad("deployment v1 1 -1.0 2.0\n0 0\n");    // bad range
   check_bad("deployment v1 1 1.0 0.5\n0 0\n");     // kappa < 1
   check_bad("deployment v1 1 1.0 2.0\nx y\n");     // non-numeric
+  // Oversized headers: ids are 32-bit, and a count that passes that check
+  // still fails at its first missing line (nothing is sized from it).
+  check_bad("deployment v1 99999999999999999 1 2\n");
+  check_bad("deployment v1 4294967295 1.0 2.0\n0 0\n");
+  check_bad("deployment v1 4000000000 1.0 2.0\n0 0\n");
 }
 
 TEST(DeploymentIo, FileRoundTrip) {
@@ -89,6 +94,11 @@ TEST(GraphIo, RejectsMalformedInput) {
   check_bad("graph v1 2 1\n0 0 1 1\n");   // self loop
   check_bad("graph v1 2 1\n0 1 -1 1\n");  // negative length
   check_bad("graph v1 2 2\n0 1 1 1\n");   // missing edge line
+  check_bad("graph v1 4294967295 0\n");  // n beyond 32-bit node ids
+  check_bad("graph v1 99999999999999999 0\n");
+  check_bad("graph v1 2 2\n0 1 1 1\n0 1 1 1\n");  // parallel: u v twice
+  check_bad("graph v1 2 2\n0 1 1 1\n1 0 1 1\n");  // parallel: u v, v u
+  check_bad("graph v1 3 3\n1 0 1 1\n1 2 1 1\n0 1 1 1\n");
 }
 
 TEST(GraphIo, EmptyGraph) {

@@ -211,10 +211,11 @@ TEST(Proximity, MstIsTreeWhenConnected) {
 }
 
 TEST(Metrics, DegreeStats) {
-  graph::Graph g(4);
-  g.add_edge(0, 1, 1.0, 1.0);
-  g.add_edge(0, 2, 1.0, 1.0);
-  g.add_edge(0, 3, 1.0, 1.0);
+  graph::GraphBuilder b(4);
+  b.add_edge(0, 1, 1.0, 1.0);
+  b.add_edge(0, 2, 1.0, 1.0);
+  b.add_edge(0, 3, 1.0, 1.0);
+  const graph::Graph g = std::move(b).build();
   const DegreeStats s = degree_stats(g);
   EXPECT_EQ(s.max, 3U);
   EXPECT_DOUBLE_EQ(s.mean, 1.5);
@@ -224,9 +225,10 @@ TEST(Metrics, DegreeStats) {
 }
 
 TEST(Metrics, EdgeLengthStats) {
-  graph::Graph g(3);
-  g.add_edge(0, 1, 1.0, 1.0);
-  g.add_edge(1, 2, 3.0, 9.0);
+  graph::GraphBuilder b(3);
+  b.add_edge(0, 1, 1.0, 1.0);
+  b.add_edge(1, 2, 3.0, 9.0);
+  const graph::Graph g = std::move(b).build();
   const EdgeLengthStats s = edge_length_stats(g);
   EXPECT_DOUBLE_EQ(s.min, 1.0);
   EXPECT_DOUBLE_EQ(s.max, 3.0);
