@@ -9,7 +9,7 @@
 
 #include <iostream>
 
-#include "core/quantized_router.h"
+#include "core/balancing_router.h"
 #include "graph/connectivity.h"
 #include "routing/adversary.h"
 #include "topology/transmission_graph.h"
@@ -46,7 +46,7 @@ int main() {
                     "ctrl_per_delivery", "transit_drops"});
   const route::Time total = trace.horizon() + 12000;
   for (const std::size_t q : {1UL, 2UL, 4UL, 8UL, 16UL, 32UL}) {
-    core::QuantizedHeightRouter router(topo.num_nodes(), params, q);
+    core::BalancingRouter router(topo.num_nodes(), params, q);
     route::RunMetrics m;
     for (route::Time t = 0; t < total; ++t) {
       const auto& step = trace.steps[t % trace.horizon()];

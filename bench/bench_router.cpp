@@ -22,8 +22,9 @@
 // 1/2/4 must plan identical transmissions) and as the reference-equivalence
 // check (the oracle must plan the same stream at matched workload).
 //
-// The matrix also sweeps the quantized router's control-plane ledger
-// (quantum 2, matched Poisson workload) across the node sizes and writes a
+// The matrix also sweeps the router's control-plane ledger at advertisement
+// quantum 2 (BalancingRouter(n, params, 2), matched Poisson workload, same
+// plan_all_edges_into path as "soa") across the node sizes and writes a
 // "control_plane" section — control messages/bytes per node per round —
 // which bench_compare gates for flatness as n grows (the constant
 // per-node control-bandwidth claim of ROADMAP item 2).
@@ -63,7 +64,6 @@
 #include "common.h"
 #include "common/parallel.h"
 #include "core/balancing_router.h"
-#include "core/quantized_router.h"
 #include "core/theta_topology.h"
 #include "geom/rng.h"
 #include "obs/metrics.h"
@@ -116,8 +116,8 @@ struct RunConfig {
   double gamma = 0.0;
   std::size_t max_height = 32;
   int threads = 0;  // 0: inherit (TN_NUM_THREADS / set_num_threads)
-  /// >= 1: run the QuantizedHeightRouter at this advertisement quantum
-  /// instead of the plain engine (the control-plane ledger sweep).
+  /// Advertisement quantum of the soa engine's BalancingRouter (>= 1 for
+  /// the control-plane ledger sweep).
   std::size_t quantum = 0;
 };
 
@@ -131,8 +131,8 @@ struct SimOut {
   std::uint64_t dropped = 0;  // at injection + in transit
   std::uint64_t leftover = 0;
   std::uint64_t peak_buffer = 0;
-  std::uint64_t control_messages = 0;  // quantized engine only
-  std::uint64_t control_bytes = 0;     // quantized engine only
+  std::uint64_t control_messages = 0;  // 0 unless quantum >= 1
+  std::uint64_t control_bytes = 0;     // 0 unless quantum >= 1
   double warm_rss_mb = 0.0;
   double peak_rss_mb = 0.0;
 };
@@ -156,7 +156,7 @@ SimOut run_sim(const graph::Graph& g, const RunConfig& cfg) {
   std::vector<double> costs(g.num_edges());
   for (graph::EdgeId e = 0; e < costs.size(); ++e) costs[e] = g.edge(e).cost;
   std::vector<graph::EdgeId> all_edges;
-  if (cfg.engine == Engine::kReference || cfg.quantum >= 1) {
+  if (cfg.engine == Engine::kReference) {
     all_edges.resize(g.num_edges());
     for (graph::EdgeId e = 0; e < all_edges.size(); ++e) all_edges[e] = e;
   }
@@ -187,24 +187,8 @@ SimOut run_sim(const graph::Graph& g, const RunConfig& cfg) {
       if (t + 1 == warm_at) out.warm_rss_mb = peak_rss_mb();
     }
     out.leftover = router.packets_in_flight();
-  } else if (cfg.quantum >= 1) {
-    core::QuantizedHeightRouter router(g.num_nodes(), params, cfg.quantum);
-    std::vector<core::PlannedTx> txs;
-    for (std::uint64_t t = 0; t < cfg.rounds; ++t) {
-      const auto now = static_cast<route::Time>(t);
-      router.plan_into(g, all_edges, costs, txs);
-      mix_txs(f, txs);
-      router.execute(txs, no_failures, costs, now, m);
-      engine.step(now, m, arrivals);
-      for (const route::Packet& p : arrivals) router.inject(p, m);
-      router.end_step(m);
-      if (t + 1 == warm_at) out.warm_rss_mb = peak_rss_mb();
-    }
-    out.leftover = router.packets_in_flight();
-    out.control_messages = router.control_messages();
-    out.control_bytes = router.control_bytes();
   } else {
-    core::BalancingRouter router(g.num_nodes(), params);
+    core::BalancingRouter router(g.num_nodes(), params, cfg.quantum);
     std::vector<core::PlannedTx> txs;
     for (std::uint64_t t = 0; t < cfg.rounds; ++t) {
       const auto now = static_cast<route::Time>(t);
@@ -217,6 +201,8 @@ SimOut run_sim(const graph::Graph& g, const RunConfig& cfg) {
       if (t + 1 == warm_at) out.warm_rss_mb = peak_rss_mb();
     }
     out.leftover = router.packets_in_flight();
+    out.control_messages = router.control_messages();
+    out.control_bytes = router.control_bytes();
   }
   const auto t1 = std::chrono::steady_clock::now();
 
@@ -332,8 +318,8 @@ int run_matrix() {
   bool all_identical = true;
   bool reference_match = true;
 
-  // Control-plane ledger sweep (ROADMAP item 2's leftover): the quantized
-  // router's advertise/retire byte budget per node per round, across the
+  // Control-plane ledger sweep (ROADMAP item 2's leftover): the router's
+  // advertise/retire byte budget at quantum 2 per node per round, across the
   // node sweep. bench_compare's control_plane gate asserts the per-node
   // figure stays flat as n grows.
   struct ControlRow {

@@ -44,6 +44,7 @@ std::optional<PlannedTx> BalancingRouter::best_for_pair(graph::NodeId from,
                                                         graph::NodeId to,
                                                         graph::EdgeId edge,
                                                         double cost) const {
+  TN_DCHECK(quantum_ == 0);
   std::optional<PlannedTx> best;
   buffers_.for_each_pair(
       from, to, [&](DestId d, std::uint32_t h_from, std::uint32_t h_to) {
@@ -60,6 +61,23 @@ std::optional<PlannedTx> BalancingRouter::best_for_pair(graph::NodeId from,
   return best;
 }
 
+namespace {
+
+// Riding cursor into one node's sorted advertisement table: height(d) for
+// ascending d, amortized O(1) per call; 0 when d is not advertised.
+struct AdvCursor {
+  std::span<const DestId> dests;
+  std::span<const std::uint32_t> heights;
+  std::size_t j = 0;
+  std::uint32_t height(DestId d) {
+    while (j < dests.size() && dests[j] < d) ++j;
+    return j < dests.size() && dests[j] == d ? heights[j] : 0;
+  }
+};
+
+}  // namespace
+
+template <bool kAdvertised>
 void BalancingRouter::eval_edge(const graph::Graph& topo, graph::EdgeId e,
                                 double cost,
                                 std::vector<PlannedTx>& out) const {
@@ -68,7 +86,16 @@ void BalancingRouter::eval_edge(const graph::Graph& topo, graph::EdgeId e,
   // One merged scan covers both orientations: h_u > 0 feeds the forward
   // candidate, h_v > 0 the backward one. Benefit expression and tie rules
   // are exactly best_for_pair's, so the winner per direction matches the
-  // directed evaluation destination-for-destination.
+  // directed evaluation destination-for-destination. The scan visits every
+  // destination buffered at either end in ascending order, and a sender
+  // needs a live height above 0, so the advertised cursors see every
+  // destination that can win.
+  AdvCursor adv_u;
+  AdvCursor adv_v;
+  if constexpr (kAdvertised) {
+    adv_u = {advertised_[u].dests, advertised_[u].heights};
+    adv_v = {advertised_[v].dests, advertised_[v].heights};
+  }
   bool have_f = false;
   bool have_b = false;
   double best_f = 0.0;
@@ -78,8 +105,9 @@ void BalancingRouter::eval_edge(const graph::Graph& topo, graph::EdgeId e,
   buffers_.for_each_pair(
       u, v, [&](DestId d, std::uint32_t h_u, std::uint32_t h_v) {
         if (h_u != 0) {
+          const std::uint32_t seen_v = kAdvertised ? adv_v.height(d) : h_v;
           const double benefit = static_cast<double>(h_u) -
-                                 static_cast<double>(h_v) -
+                                 static_cast<double>(seen_v) -
                                  params_.gamma * cost;
           if (benefit > params_.threshold && (!have_f || benefit > best_f)) {
             have_f = true;
@@ -88,8 +116,9 @@ void BalancingRouter::eval_edge(const graph::Graph& topo, graph::EdgeId e,
           }
         }
         if (h_v != 0) {
+          const std::uint32_t seen_u = kAdvertised ? adv_u.height(d) : h_u;
           const double benefit = static_cast<double>(h_v) -
-                                 static_cast<double>(h_u) -
+                                 static_cast<double>(seen_u) -
                                  params_.gamma * cost;
           if (benefit > params_.threshold && (!have_b || benefit > best_b)) {
             have_b = true;
@@ -112,7 +141,13 @@ void BalancingRouter::plan_into(const graph::Graph& topo,
                                 std::span<const double> costs,
                                 std::vector<PlannedTx>& out) const {
   out.clear();
-  for (const graph::EdgeId e : active) eval_edge(topo, e, costs[e], out);
+  if (quantum_ == 0) {
+    for (const graph::EdgeId e : active)
+      eval_edge<false>(topo, e, costs[e], out);
+  } else {
+    for (const graph::EdgeId e : active)
+      eval_edge<true>(topo, e, costs[e], out);
+  }
   TN_OBS_COUNT("router.planned_tx", out.size());
   TN_OBS_SERIES_ADD("router.active_edges", round_, active.size());
 }
@@ -161,7 +196,8 @@ void BalancingRouter::plan_all_edges_into(const graph::Graph& topo,
                                           std::vector<PlannedTx>& out) const {
   // An edge whose endpoints both buffer nothing has h = 0 on every
   // destination, so no benefit can exceed T (plan() would emit nothing for
-  // it); restricting to buffer-incident edges is therefore exact.
+  // it); restricting to buffer-incident edges is therefore exact. That holds
+  // at every quantum: the sender's own height is always live.
   const std::span<const graph::EdgeId> candidates = candidate_edges(topo);
   plan_into(topo, candidates, costs, out);
   // Every candidate has a buffering endpoint; the ones that planned nothing
@@ -270,7 +306,60 @@ void BalancingRouter::inject(const Packet& p, RunMetrics& m) {
   }
 }
 
+void BalancingRouter::advertise() {
+  std::uint64_t messages = 0;
+  std::uint64_t bytes = 0;
+  for (graph::NodeId v = 0; v < advertised_.size(); ++v) {
+    AdvNode& adv = advertised_[v];
+    if (buffers_.live_destinations(v) == 0 && adv.dests.empty()) continue;
+    const std::span<const DestId> bd = buffers_.dests(v);
+    const std::span<const std::uint32_t> bh = buffers_.heights(v);
+    const std::uint64_t messages_before = messages;
+    adv_dests_.clear();
+    adv_heights_.clear();
+    // One rule over the union of live and advertised destinations, in
+    // ascending order (an absent side, or a tombstone, reads 0): keep the
+    // advertisement unless the live height drifted by >= quantum, in which
+    // case advertise the live height — or retire the entry when it is 0.
+    std::size_t i = 0;
+    std::size_t j = 0;
+    while (i < bd.size() || j < adv.dests.size()) {
+      const bool in_bank =
+          i < bd.size() && (j == adv.dests.size() || bd[i] <= adv.dests[j]);
+      const bool in_adv =
+          j < adv.dests.size() && (i == bd.size() || adv.dests[j] <= bd[i]);
+      const DestId d = in_bank ? bd[i] : adv.dests[j];
+      const std::uint32_t h = in_bank ? bh[i++] : 0;
+      const std::uint32_t a = in_adv ? adv.heights[j++] : 0;
+      const std::uint32_t drift = h > a ? h - a : a - h;
+      const std::uint32_t kept = drift >= quantum_ ? h : a;
+      if (kept != a) {
+        ++messages;
+        bytes += h > 0 ? kAdvertiseBytes : kRetireBytes;
+      }
+      if (kept != 0) {
+        adv_dests_.push_back(d);
+        adv_heights_.push_back(kept);
+      }
+    }
+    // The table is rebuilt only when a message fired.
+    if (messages != messages_before) {
+      adv.dests.assign(adv_dests_.begin(), adv_dests_.end());
+      adv.heights.assign(adv_heights_.begin(), adv_heights_.end());
+    }
+  }
+  control_messages_ += messages;
+  control_bytes_ += bytes;
+  TN_OBS_COUNT("router.control_messages", messages);
+  TN_OBS_COUNT("router.control_bytes", bytes);
+  TN_OBS_SERIES_ADD("router.control_messages", round_, messages);
+  TN_OBS_SERIES_ADD("router.control_bytes", round_, bytes);
+}
+
 void BalancingRouter::end_step(RunMetrics& m) {
+  // Before the round clock advances, so the control traffic of step t lands
+  // on round t like the other series.
+  if (quantum_ != 0) advertise();
   // The single bookkeeping path for the §3 backlog bound: the per-round
   // peak is computed once here and feeds the telemetry distribution, the
   // peak_buffer series, AND RunMetrics::peak_buffer (which

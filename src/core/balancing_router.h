@@ -27,6 +27,18 @@
 // up, emits edge ids in ascending order. The plan order is therefore the
 // canonical edge-id order whatever order the bank lists its active nodes
 // in, with no sort over edge ids.
+//
+// Quantized height advertisement — the practical-implementation remark of
+// Section 3.2: "we assume that nodes continuously exchange the buffer height
+// values. In a practical implementation, we can reduce the amount of control
+// information exchange for this purpose." With quantum q >= 1 the *remote*
+// side of every benefit reads the neighbour's last advertised height instead
+// of its live one (the local side stays live: that knowledge is free). A
+// node re-advertises a buffer only once its height drifted by at least q
+// since the last advertisement, one control message each. Heights are
+// integers, so q = 1 advertises every change and plans exactly what the
+// live router (q = 0) plans; larger quanta trade staleness for fewer control
+// messages (bench E15 sweeps the trade-off).
 
 #include <cstdint>
 #include <functional>
@@ -62,6 +74,8 @@ struct PlannedTx {
   graph::NodeId to = graph::kInvalidNode;
   route::DestId dest = graph::kInvalidNode;
   double benefit = 0.0;
+
+  bool operator==(const PlannedTx&) const = default;
 };
 
 /// Parameter recipes from the theorems, given a certified trace's exact
@@ -80,8 +94,14 @@ BalancingParams theorem33_params(const route::OptStats& opt, double eps);
 
 class BalancingRouter {
  public:
-  BalancingRouter(std::size_t num_nodes, const BalancingParams& params)
-      : params_(params), buffers_(num_nodes, params.max_height) {}
+  /// quantum = 0: remote heights are live. quantum >= 1: remote heights are
+  /// the last advertised ones, refreshed by end_step after a drift >= quantum.
+  BalancingRouter(std::size_t num_nodes, const BalancingParams& params,
+                  std::size_t quantum = 0)
+      : params_(params),
+        buffers_(num_nodes, params.max_height),
+        advertised_(quantum == 0 ? 0 : num_nodes),
+        quantum_(quantum) {}
 
   /// Install an anycast-style absorption test (default: v == d).
   void set_destination_predicate(DestinationPredicate pred) {
@@ -90,6 +110,23 @@ class BalancingRouter {
 
   const BalancingParams& params() const { return params_; }
   const route::BufferBank& buffers() const { return buffers_; }
+
+  /// Advertisements and retirements sent so far (0 when quantum = 0).
+  std::uint64_t control_messages() const { return control_messages_; }
+
+  /// Control-plane bytes on the wire, under the fixed encoding of
+  /// kAdvertiseBytes/kRetireBytes below. Deterministic — a pure function of
+  /// the message sequence — so it can sit in telemetry dumps and power the
+  /// flat-bandwidth-per-node gate of bench_compare.
+  std::uint64_t control_bytes() const { return control_bytes_; }
+
+  /// Deterministic wire-size model for the budget ledger: an advertisement
+  /// carries (header, dest, height), a retirement (header, dest), 4 bytes
+  /// each. A real MAC frame adds per-link overhead, but a *constant* one —
+  /// flatness per node is what the gate checks, so the model only has to be
+  /// proportional.
+  static constexpr std::uint64_t kAdvertiseBytes = 12;
+  static constexpr std::uint64_t kRetireBytes = 8;
 
   /// Mutable bank access for fault-injection harnesses (the soak watchdog's
   /// planted-leak mutation plants BufferBank::plant_pool_leak through it).
@@ -132,6 +169,7 @@ class BalancingRouter {
   /// Benefit evaluation for one directed pair (used by the honeycomb MAC of
   /// Section 3.4, where contestants are sender-receiver pairs rather than
   /// pre-activated edges). nullopt when no destination clears benefit > T.
+  /// Reads live heights, so it is for quantum = 0 routers only.
   std::optional<PlannedTx> best_for_pair(graph::NodeId from, graph::NodeId to,
                                          graph::EdgeId edge, double cost) const;
 
@@ -146,7 +184,9 @@ class BalancingRouter {
   /// algorithm: stored if space remains, deleted otherwise).
   void inject(const route::Packet& p, route::RunMetrics& m);
 
-  /// Record end-of-step space metrics and advance the round clock.
+  /// End of step: with quantum >= 1, first re-advertise every buffer whose
+  /// height drifted by at least the quantum (the control ledger); then
+  /// record space metrics and advance the round clock.
   void end_step(route::RunMetrics& m);
 
   /// Rounds completed (end_step calls). Events recorded by plan / execute /
@@ -158,10 +198,24 @@ class BalancingRouter {
   std::size_t packets_in_flight() const { return buffers_.total_packets(); }
 
  private:
+  // Sorted advertised-height table for one node. Heights are always >= 1:
+  // retiring a drained buffer's advertisement removes the entry, so presence
+  // in the array IS the advertisement.
+  struct AdvNode {
+    std::vector<route::DestId> dests;
+    std::vector<std::uint32_t> heights;
+  };
+
   // Both orientations of one edge in a single merged buffer scan; the
-  // winning direction, if any, is appended to `out`.
+  // winning direction, if any, is appended to `out`. kAdvertised reads the
+  // remote heights from advertised_ instead of the live bank.
+  template <bool kAdvertised>
   void eval_edge(const graph::Graph& topo, graph::EdgeId e, double cost,
                  std::vector<PlannedTx>& out) const;
+
+  // Reconcile every node's advertisements with its live heights, counting
+  // the control messages (quantum >= 1 only).
+  void advertise();
 
   bool is_destination(graph::NodeId v, route::DestId d) const {
     return is_dest_ ? is_dest_(v, d) : v == d;
@@ -170,6 +224,10 @@ class BalancingRouter {
   BalancingParams params_;
   route::BufferBank buffers_;
   DestinationPredicate is_dest_;
+  std::vector<AdvNode> advertised_;  // empty when quantum_ == 0
+  std::size_t quantum_;
+  std::uint64_t control_messages_ = 0;
+  std::uint64_t control_bytes_ = 0;
   std::uint64_t round_ = 0;
   // Reusable scratch (candidate edges, the candidate bitmap, in-air
   // staging). Mutable: plan is logically const; scratch reuse is what
@@ -185,6 +243,9 @@ class BalancingRouter {
   mutable std::vector<std::uint64_t> edge_bits_;
   mutable std::vector<std::uint32_t> touched_;
   std::vector<InAir> in_air_;
+  // advertise() rebuild scratch.
+  std::vector<route::DestId> adv_dests_;
+  std::vector<std::uint32_t> adv_heights_;
 };
 
 }  // namespace thetanet::core

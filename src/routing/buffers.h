@@ -178,7 +178,7 @@ class BufferBank {
       if (b.heights[j] != 0) fn(b.dests[j], std::uint32_t{0}, b.heights[j]);
   }
 
-  /// Raw sorted views for external merged scans (e.g. the quantized router's
+  /// Raw sorted views for external merged scans (e.g. the router's
   /// advertised-height table). Parallel arrays; entries with height 0 are
   /// tombstones and must be treated as absent.
   std::span<const DestId> dests(graph::NodeId v) const {

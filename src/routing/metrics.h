@@ -52,6 +52,8 @@ struct RunMetrics {
                            : static_cast<double>(total_hops_delivered) /
                                  static_cast<double>(deliveries);
   }
+
+  bool operator==(const RunMetrics&) const = default;
 };
 
 }  // namespace thetanet::route

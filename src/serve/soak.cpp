@@ -5,7 +5,6 @@
 #include <ostream>
 
 #include "core/balancing_router.h"
-#include "core/quantized_router.h"
 #include "graph/connectivity.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
@@ -32,8 +31,7 @@ topo::Deployment soak_deployment(std::size_t n, std::uint64_t seed) {
 /// One same-seed replica of the full stack. Shard 0 records telemetry;
 /// replicas step with recording suspended and only contribute checksums.
 struct Shard {
-  std::unique_ptr<core::BalancingRouter> balancing;
-  std::unique_ptr<core::QuantizedHeightRouter> quantized;
+  std::unique_ptr<core::BalancingRouter> router;
   std::unique_ptr<route::InjectionEngine> engine;
   route::RunMetrics m;
   Fnv checksum;
@@ -52,25 +50,15 @@ void mix_txs(Fnv& f, const std::vector<core::PlannedTx>& txs) {
 }
 
 void step_shard(Shard& s, const graph::Graph& g,
-                std::span<const double> costs,
-                std::span<const graph::EdgeId> all_edges, std::uint64_t t) {
+                std::span<const double> costs, std::uint64_t t) {
   const auto now = static_cast<route::Time>(t);
   const std::vector<bool> no_failures;
-  if (s.quantized) {
-    s.quantized->plan_into(g, all_edges, costs, s.txs);
-    mix_txs(s.checksum, s.txs);
-    s.quantized->execute(s.txs, no_failures, costs, now, s.m);
-    s.engine->step(now, s.m, s.arrivals);
-    for (const route::Packet& p : s.arrivals) s.quantized->inject(p, s.m);
-    s.quantized->end_step(s.m);
-  } else {
-    s.balancing->plan_all_edges_into(g, costs, s.txs);
-    mix_txs(s.checksum, s.txs);
-    s.balancing->execute(s.txs, no_failures, costs, now, s.m);
-    s.engine->step(now, s.m, s.arrivals);
-    for (const route::Packet& p : s.arrivals) s.balancing->inject(p, s.m);
-    s.balancing->end_step(s.m);
-  }
+  s.router->plan_all_edges_into(g, costs, s.txs);
+  mix_txs(s.checksum, s.txs);
+  s.router->execute(s.txs, no_failures, costs, now, s.m);
+  s.engine->step(now, s.m, s.arrivals);
+  for (const route::Packet& p : s.arrivals) s.router->inject(p, s.m);
+  s.router->end_step(s.m);
 }
 
 }  // namespace
@@ -96,28 +84,16 @@ SoakResult run_soak(const SoakSpec& spec, std::ostream& frames_out) {
 
   std::vector<double> costs(g.num_edges());
   for (graph::EdgeId e = 0; e < costs.size(); ++e) costs[e] = g.edge(e).cost;
-  std::vector<graph::EdgeId> all_edges;
-  if (spec.quantum >= 1) {
-    all_edges.resize(g.num_edges());
-    for (graph::EdgeId e = 0; e < all_edges.size(); ++e) all_edges[e] = e;
-  }
 
   const core::BalancingParams params{spec.threshold, spec.gamma,
                                      spec.max_height};
   const int num_shards = spec.shards < 1 ? 1 : spec.shards;
   std::vector<Shard> shards(static_cast<std::size_t>(num_shards));
   for (Shard& s : shards) {
-    if (spec.quantum >= 1) {
-      s.quantized = std::make_unique<core::QuantizedHeightRouter>(
-          g.num_nodes(), params, spec.quantum);
-      if (spec.plant_leak)
-        s.quantized->buffers_for_fault_injection().plant_pool_leak(true);
-    } else {
-      s.balancing =
-          std::make_unique<core::BalancingRouter>(g.num_nodes(), params);
-      if (spec.plant_leak)
-        s.balancing->buffers_for_fault_injection().plant_pool_leak(true);
-    }
+    s.router = std::make_unique<core::BalancingRouter>(g.num_nodes(), params,
+                                                       spec.quantum);
+    if (spec.plant_leak)
+      s.router->buffers_for_fault_injection().plant_pool_leak(true);
     s.engine = std::make_unique<route::InjectionEngine>(g, spec.inject);
   }
 
@@ -128,13 +104,13 @@ SoakResult run_soak(const SoakSpec& spec, std::ostream& frames_out) {
 
   const std::uint64_t interval = std::max<std::uint64_t>(1, spec.interval);
   for (std::uint64_t t = 0; t < spec.rounds; ++t) {
-    step_shard(shards[0], g, costs, all_edges, t);
+    step_shard(shards[0], g, costs, t);
     if (shards.size() > 1) {
       // Replicas re-execute the identical round; suspending recording keeps
       // the dump describing exactly one run's worth of events.
       obs::set_recording(false);
       for (std::size_t i = 1; i < shards.size(); ++i)
-        step_shard(shards[i], g, costs, all_edges, t);
+        step_shard(shards[i], g, costs, t);
       obs::set_recording(true);
     }
     if ((t + 1) % interval == 0 || t + 1 == spec.rounds) {
@@ -174,9 +150,7 @@ SoakResult run_soak(const SoakSpec& spec, std::ostream& frames_out) {
   out.rounds = spec.rounds;
   out.deliveries = s0.m.deliveries;
   out.injected_accepted = s0.m.injected_accepted;
-  out.leftover =
-      s0.quantized ? s0.quantized->packets_in_flight()
-                   : s0.balancing->packets_in_flight();
+  out.leftover = s0.router->packets_in_flight();
   out.checksum = s0.checksum.h;
   out.warm_rss_mb = watchdog.warm_rss_mb();
   out.peak_rss_mb = peak_rss_mb();

@@ -38,9 +38,9 @@ struct SoakSpec {
   double gamma = 0.0;
   std::size_t max_height = 32;
 
-  /// 0: plain BalancingRouter. >= 1: QuantizedHeightRouter with this
-  /// advertisement quantum — the configuration whose control ledgers the
-  /// watchdog's flat-rate check monitors.
+  /// Advertisement quantum of BalancingRouter(n, params, quantum): 0 plans
+  /// on live heights; >= 1 plans on advertised heights and keeps the control
+  /// ledgers the watchdog's flat-rate check monitors.
   std::size_t quantum = 0;
 
   bool fold_check = false;  ///< re-parse + fold the stream, byte-compare

@@ -1,10 +1,12 @@
-#include "core/quantized_router.h"
+#include "core/balancing_router.h"
 
 #include <gtest/gtest.h>
 
 #include <utility>
 
+#include "graph/connectivity.h"
 #include "routing/adversary.h"
+#include "routing/anycast.h"
 #include "topology/distributions.h"
 #include "topology/transmission_graph.h"
 
@@ -30,7 +32,7 @@ route::Packet mk(std::uint64_t id, graph::NodeId s, graph::NodeId t) {
 
 TEST(QuantizedRouter, QuantumOneAdvertisesEveryChange) {
   const graph::Graph g = path3();
-  QuantizedHeightRouter r(3, {0.5, 0.0, 16}, 1);
+  BalancingRouter r(3, {0.5, 0.0, 16}, 1);
   route::RunMetrics m;
   r.inject(mk(1, 0, 2), m);
   r.end_step(m);
@@ -44,7 +46,7 @@ TEST(QuantizedRouter, QuantumOneAdvertisesEveryChange) {
 
 TEST(QuantizedRouter, LargerQuantumSuppressesMessages) {
   const graph::Graph g = path3();
-  QuantizedHeightRouter r(3, {10.0, 0.0, 64}, 4);
+  BalancingRouter r(3, {10.0, 0.0, 64}, 4);
   route::RunMetrics m;
   for (std::uint64_t i = 0; i < 3; ++i) {
     r.inject(mk(i + 1, 0, 2), m);
@@ -58,18 +60,18 @@ TEST(QuantizedRouter, LargerQuantumSuppressesMessages) {
 
 TEST(QuantizedRouter, ControlBytesFollowTheWireModel) {
   const graph::Graph g = path3();
-  QuantizedHeightRouter r(3, {0.5, 0.0, 16}, 1);
+  BalancingRouter r(3, {0.5, 0.0, 16}, 1);
   route::RunMetrics m;
   EXPECT_EQ(r.control_bytes(), 0U);
   r.inject(mk(1, 0, 2), m);
   r.end_step(m);
   // One advertisement (header, dest, height).
-  EXPECT_EQ(r.control_bytes(), QuantizedHeightRouter::kAdvertiseBytes);
+  EXPECT_EQ(r.control_bytes(), BalancingRouter::kAdvertiseBytes);
   r.inject(mk(2, 0, 2), m);
   r.end_step(m);
-  EXPECT_EQ(r.control_bytes(), 2 * QuantizedHeightRouter::kAdvertiseBytes);
+  EXPECT_EQ(r.control_bytes(), 2 * BalancingRouter::kAdvertiseBytes);
   r.end_step(m);  // no drift, no bytes
-  EXPECT_EQ(r.control_bytes(), 2 * QuantizedHeightRouter::kAdvertiseBytes);
+  EXPECT_EQ(r.control_bytes(), 2 * BalancingRouter::kAdvertiseBytes);
 }
 
 TEST(QuantizedRouter, RetirementCostsRetireBytes) {
@@ -78,12 +80,12 @@ TEST(QuantizedRouter, RetirementCostsRetireBytes) {
   b.add_edge(0, 1, 1.0, 1.0);
   const graph::Graph g = std::move(b).build();
   const auto costs = costs_of(g);
-  QuantizedHeightRouter r(2, {0.5, 0.0, 16}, 1);
+  BalancingRouter r(2, {0.5, 0.0, 16}, 1);
   route::RunMetrics m;
   r.inject(mk(1, 0, 1), m);
   r.end_step(m);  // advertise Q_{0,1} = 1
   const std::uint64_t after_adv = r.control_bytes();
-  EXPECT_EQ(after_adv, QuantizedHeightRouter::kAdvertiseBytes);
+  EXPECT_EQ(after_adv, BalancingRouter::kAdvertiseBytes);
   std::vector<PlannedTx> txs;
   const std::vector<graph::EdgeId> all{0};
   r.plan_into(g, all, costs, txs);
@@ -92,14 +94,14 @@ TEST(QuantizedRouter, RetirementCostsRetireBytes) {
   r.end_step(m);  // drained buffer: the advertisement is retired
   EXPECT_EQ(m.deliveries, 1U);
   EXPECT_EQ(r.control_messages(), 2U);  // one advertise + one retire
-  EXPECT_EQ(r.control_bytes(), QuantizedHeightRouter::kAdvertiseBytes +
-                                   QuantizedHeightRouter::kRetireBytes);
+  EXPECT_EQ(r.control_bytes(), BalancingRouter::kAdvertiseBytes +
+                                   BalancingRouter::kRetireBytes);
 }
 
 TEST(QuantizedRouter, PlanUsesStaleRemoteHeights) {
   const graph::Graph g = path3();
   // Quantum 8: node 1's height never gets advertised at these volumes.
-  QuantizedHeightRouter r(3, {0.5, 0.0, 64}, 8);
+  BalancingRouter r(3, {0.5, 0.0, 64}, 8);
   route::RunMetrics m;
   const auto costs = costs_of(g);
   // Preload node 1 with 3 packets for dest 2 (below quantum -> invisible).
@@ -121,7 +123,7 @@ TEST(QuantizedRouter, PlanUsesStaleRemoteHeights) {
 
 TEST(QuantizedRouter, DrainedBufferAdvertisementIsWithdrawn) {
   const graph::Graph g = path3();
-  QuantizedHeightRouter r(3, {0.0, 0.0, 16}, 1);
+  BalancingRouter r(3, {0.0, 0.0, 16}, 1);
   route::RunMetrics m;
   const auto costs = costs_of(g);
   r.inject(mk(1, 0, 2), m);
@@ -135,6 +137,96 @@ TEST(QuantizedRouter, DrainedBufferAdvertisementIsWithdrawn) {
   // The withdrawal (height back to 0) costs one more control message, and
   // node 1's new height-1 buffer costs another.
   EXPECT_GE(r.control_messages(), msgs_after_fill + 2);
+}
+
+TEST(QuantizedRouter, QuantumOneMatchesLiveRouterEveryRound) {
+  // Heights are integers, so quantum 1 advertises every change and the
+  // advertised table equals the live bank at every plan: the q = 1 router
+  // must plan what the live (q = 0) router plans, round for round. The
+  // q = 2 router runs the same harness and must diverge somewhere, or the
+  // comparison would not be looking at the advertised heights at all.
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(seed);
+    geom::Rng rng(100 + seed);
+    topo::Deployment d;
+    d.kappa = 2.0;
+    d.max_range = 0.3;
+    graph::Graph topo;
+    do {
+      d.positions = topo::uniform_square(150, 1.0, rng);
+      topo = topo::build_transmission_graph(d);
+    } while (!graph::is_connected(topo));
+    route::TraceParams tp;
+    tp.horizon = 4000;
+    tp.injections_per_step = 1.0;
+    tp.max_schedule_slack = 16;
+    tp.num_sources = 6;
+    tp.num_destinations = 2;
+    const auto trace = route::make_certified_trace(topo, tp, rng);
+    const auto params = theorem31_params(trace.opt, 0.25);
+    const auto costs = costs_of(topo);
+
+    BalancingRouter live(topo.num_nodes(), params);
+    BalancingRouter q1(topo.num_nodes(), params, 1);
+    BalancingRouter q2(topo.num_nodes(), params, 2);
+    route::RunMetrics m_live, m_q1, m_q2;
+    std::size_t planned = 0;
+    bool q2_diverged = false;
+    for (route::Time t = 0; t < 6000; ++t) {
+      const auto& step = trace.steps[t % trace.horizon()];
+      const auto txs_live = live.plan(topo, step.active, costs);
+      const auto txs_q1 = q1.plan(topo, step.active, costs);
+      const auto txs_q2 = q2.plan(topo, step.active, costs);
+      ASSERT_EQ(txs_q1, txs_live) << "round " << t;
+      planned += txs_live.size();
+      q2_diverged = q2_diverged || txs_q2 != txs_live;
+      const auto finish = [&](BalancingRouter& r,
+                              const std::vector<PlannedTx>& txs,
+                              route::RunMetrics& m) {
+        r.execute(txs, {}, costs, t, m);
+        if (t < trace.horizon())
+          for (const auto& inj : step.injections) r.inject(inj.packet, m);
+        r.end_step(m);
+      };
+      finish(live, txs_live, m_live);
+      finish(q1, txs_q1, m_q1);
+      finish(q2, txs_q2, m_q2);
+    }
+    EXPECT_EQ(m_q1, m_live);
+    EXPECT_GT(m_live.deliveries, 0U);
+    EXPECT_GT(planned, 0U);
+    EXPECT_EQ(live.control_messages(), 0U);
+    EXPECT_GT(q1.control_messages(), q2.control_messages());
+    EXPECT_TRUE(q2_diverged);
+  }
+}
+
+TEST(QuantizedRouter, AnycastAbsorbsAtAnyGroupMember) {
+  // Group 2 = {1, 2}: a packet for group 2 injected at node 0 is absorbed
+  // by node 1 after one hop and never reaches node 2.
+  const graph::Graph g = path3();
+  const auto costs = costs_of(g);
+  const route::AnycastGroups groups({{0}, {1}, {1, 2}});
+  BalancingRouter r(3, {0.5, 0.0, 16}, 2);
+  r.set_destination_predicate(
+      [&](graph::NodeId v, route::DestId d) { return groups.contains(d, v); });
+  route::RunMetrics m;
+  r.inject(mk(1, 0, 2), m);
+  r.inject(mk(2, 0, 2), m);
+  r.end_step(m);
+  EXPECT_EQ(r.control_messages(), 1U);  // height 2 reached the quantum
+  const std::vector<graph::EdgeId> all{0, 1};
+  for (route::Time t = 1; t <= 2; ++t) {
+    const auto txs = r.plan(g, all, costs);
+    ASSERT_EQ(txs.size(), 1U);
+    EXPECT_EQ(txs[0].to, 1U);
+    r.execute(txs, {}, costs, t, m);
+    r.end_step(m);
+  }
+  EXPECT_EQ(m.deliveries, 2U);
+  EXPECT_EQ(m.total_hops_delivered, 2U);
+  EXPECT_EQ(r.packets_in_flight(), 0U);
+  EXPECT_EQ(r.buffers().height(1, 2), 0U);
 }
 
 TEST(QuantizedRouter, EndToEndRunStaysConservative) {
@@ -153,7 +245,7 @@ TEST(QuantizedRouter, EndToEndRunStaysConservative) {
   const auto trace = route::make_certified_trace(topo, tp, rng);
   const auto params = theorem31_params(trace.opt, 0.25);
 
-  QuantizedHeightRouter r(topo.num_nodes(), params, 2);
+  BalancingRouter r(topo.num_nodes(), params, 2);
   route::RunMetrics m;
   const auto costs = costs_of(topo);
   for (route::Time t = 0; t < 8000; ++t) {

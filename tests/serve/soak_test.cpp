@@ -90,6 +90,8 @@ TEST(SoakTest, QuantizedPathCarriesControlLedger) {
   const SoakResult r = run_soak(tiny_spec(), frames);
   EXPECT_NE(r.final_dump.find("router.control_messages"), std::string::npos);
   EXPECT_NE(r.final_dump.find("router.control_bytes"), std::string::npos);
+  // Quantized shards plan on the same plan_all_edges_into path as quantum 0.
+  EXPECT_NE(r.final_dump.find("router.planned_tx"), std::string::npos);
 }
 
 }  // namespace

@@ -38,12 +38,14 @@
 //           feed the determinism check; exits 1 on any violation.
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <numbers>
 #include <sstream>
@@ -95,9 +97,31 @@ std::string get(const Args& a, const std::string& key,
   return it == a.end() ? fallback : it->second;
 }
 
+[[noreturn]] void bad_value(const std::string& key, const std::string& value) {
+  std::fprintf(stderr, "bad value for --%s: '%s'\n", key.c_str(),
+               value.c_str());
+  std::exit(2);
+}
+
+/// A finite number; anything else (no digits, trailing garbage, inf, nan)
+/// exits 2 with "bad value for --KEY".
 double get_num(const Args& a, const std::string& key, double fallback) {
   const auto it = a.find(key);
-  return it == a.end() ? fallback : std::stod(it->second);
+  if (it == a.end()) return fallback;
+  const char* s = it->second.c_str();
+  char* end = nullptr;
+  const double v = std::strtod(s, &end);
+  if (end == s || *end != '\0' || !std::isfinite(v)) bad_value(key, s);
+  return v;
+}
+
+/// A count in [0, max]. Converting a negative or too-large double to an
+/// unsigned type is undefined, so such values exit 2 like malformed ones.
+std::uint64_t get_count(const Args& a, const std::string& key,
+                        std::uint64_t fallback, std::uint64_t max) {
+  const double v = get_num(a, key, static_cast<double>(fallback));
+  if (v < 0.0 || v > static_cast<double>(max)) bad_value(key, get(a, key, ""));
+  return static_cast<std::uint64_t>(v);
 }
 
 /// Shared deployment generator for `generate` and `scoreboard` (same flags,
@@ -505,16 +529,21 @@ int cmd_serve(const Args& args) {
 }
 
 int cmd_soak(const Args& args) {
+  // Counts are capped where their type (or exact double integers, 2^53)
+  // ends.
+  constexpr std::uint64_t kU32 = std::numeric_limits<std::uint32_t>::max();
+  constexpr std::uint64_t kExact = std::uint64_t{1} << 53;
   serve::SoakSpec spec;
-  spec.n = static_cast<std::size_t>(get_num(args, "n", 512));
-  spec.topo_seed = static_cast<std::uint64_t>(get_num(args, "seed", 1));
-  spec.rounds = static_cast<std::uint64_t>(get_num(args, "rounds", 200000));
-  spec.interval = static_cast<std::uint64_t>(get_num(args, "interval", 5000));
-  spec.shards = static_cast<int>(get_num(args, "shards", 2));
-  spec.quantum = static_cast<std::size_t>(get_num(args, "quantum", 0));
+  spec.n = get_count(args, "n", 512, kU32);
+  spec.topo_seed = get_count(args, "seed", 1, kExact);
+  spec.rounds = get_count(args, "rounds", 200000, kExact);
+  spec.interval = get_count(args, "interval", 5000, kExact);
+  spec.shards = static_cast<int>(
+      get_count(args, "shards", 2, std::numeric_limits<int>::max()));
+  spec.quantum = get_count(args, "quantum", 0, kU32);
   spec.threshold = get_num(args, "threshold", 0.5);
   spec.gamma = get_num(args, "gamma", 0.0);
-  spec.max_height = static_cast<std::size_t>(get_num(args, "max-height", 32));
+  spec.max_height = get_count(args, "max-height", 32, kU32);
   spec.fold_check = get_num(args, "fold-check", 0) != 0;
   spec.plant_leak = get_num(args, "plant-leak", 0) != 0;
   spec.watchdog.rss_allowance_mb =
@@ -528,9 +557,8 @@ int cmd_soak(const Args& args) {
   }
   spec.inject.rate = get_num(args, "rate", 1.0);
   spec.inject.window =
-      static_cast<std::uint32_t>(get_num(args, "window", 4096));
-  spec.inject.seed =
-      static_cast<std::uint64_t>(get_num(args, "inject-seed", 1));
+      static_cast<std::uint32_t>(get_count(args, "window", 4096, kU32));
+  spec.inject.seed = get_count(args, "inject-seed", 1, kExact);
 
   // Frames go to --stream (a file) or stdout; the human-readable summary
   // always goes to stderr so the stream stays machine-parseable.
