@@ -340,7 +340,6 @@ int run_matrix() {
     const topo::Deployment d = deployment(n);
     const core::ThetaTopology tt(d, kTheta);
     const graph::Graph& g = tt.graph();
-    g.neighbors(0);  // force the adjacency build outside the timed children
 
     for (const P p : processes) {
       for (const Engine eng : {Engine::kSoa, Engine::kReference}) {
@@ -444,7 +443,6 @@ int run_matrix() {
     tn::set_num_threads(1);
     const topo::Deployment d = deployment(n);
     const core::ThetaTopology tt(d, kTheta);
-    tt.graph().neighbors(0);
     Entry e;
     e.n = n;
     e.cfg.spec = workload_spec(P::kPoisson, n);

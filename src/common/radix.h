@@ -8,10 +8,10 @@
 // constant across all keys are skipped — for keys packing two node ids
 // below 2^25 that drops 8 passes to ~6.
 //
-// The caller supplies the staging buffer (same length as the input),
-// typically from the thread's scratch arena, so repeated sorts fault no new
-// pages. The sort is not stable ACROSS equal keys' original order — callers
-// here only ever sort unique keys or accept any order of duplicates.
+// The caller supplies the staging buffer (at least the input's length),
+// so a caller that sorts repeatedly can reuse one buffer. The sort is not
+// stable ACROSS equal keys' original order — callers here only ever sort
+// unique keys or accept any order of duplicates.
 
 #include <array>
 #include <cstddef>

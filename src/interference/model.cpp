@@ -4,7 +4,6 @@
 #include <bit>
 #include <memory>
 
-#include "common/arena.h"
 #include "common/assert.h"
 #include "common/hugepage.h"
 #include "common/parallel.h"
@@ -109,8 +108,8 @@ struct KernelContext {
             ord.to_sorted(g.edge_v(static_cast<graph::EdgeId>(e)));
         keys[e] = (std::uint64_t{std::min(su, sv)} << 32) | e;
       }
-      tn::ScratchScope scope;
-      tn::radix_sort_u64(keys, scope.arena().alloc_span<std::uint64_t>(ne));
+      std::vector<std::uint64_t> staging(ne);
+      tn::radix_sort_u64(keys, staging);
       for (std::size_t k = 0; k < ne; ++k)
         order[k] = static_cast<graph::EdgeId>(keys[k] & 0xffffffffu);
     }
@@ -572,9 +571,9 @@ std::vector<std::vector<graph::EdgeId>> interference_sets(
   // bucket then radix-sorts entirely in cache (the constant high bytes are
   // skipped by the sorter's histogram check). Buckets are independent and
   // their sorted contents canonical, so the parallel per-bucket pass keeps
-  // the bit-identity argument intact. Buffers are plain vectors, not arena
-  // blocks: at 10^6 nodes they run to tens of GB and must go back to the
-  // OS when the kernel returns.
+  // the bit-identity argument intact. The pair buffers are allocated per
+  // call and freed on return: at 10^6 nodes they run to tens of GB and
+  // must go back to the OS when the kernel returns.
   std::size_t np = 0;
   for (const PairBlock& part : parts) np += part.len;
   const int ne_bits = static_cast<int>(std::bit_width(ne - 1));
@@ -621,13 +620,16 @@ std::vector<std::vector<graph::EdgeId>> interference_sets(
   parts.clear();
   // Pass 3: cache-resident sort of each bucket, in parallel, with radix
   // passes only over the bits that actually vary inside a bucket.
+  // The staging buffer is thread-local and grows to the largest bucket the
+  // thread has sorted (a few MB), like radix_digit_sort's histograms.
   tn::parallel_for(nb, 1, [&](std::size_t begin, std::size_t end) {
+    static thread_local std::vector<std::uint64_t> staging;
     for (std::size_t b = begin; b < end; ++b) {
       const std::size_t len = boff[b + 1] - boff[b];
       if (len < 2) continue;
-      tn::ScratchScope scope;
+      if (staging.size() < len) staging.resize(len);
       sort_bucket(std::span<std::uint64_t>(bucketed.get() + boff[b], len),
-                  scope.arena().alloc_span<std::uint64_t>(len),
+                  std::span<std::uint64_t>(staging.data(), len),
                   std::uint64_t{b} << (32 + shift), ne_bits, shift);
     }
   });

@@ -27,7 +27,6 @@
 #include <span>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/parallel.h"
 #include "geom/spatial_grid.h"
 #include "geom/spatial_order.h"
@@ -58,13 +57,11 @@ std::vector<graph::NodeId> nearest_per_bucket(const Deployment& d,
   const geom::SpatialOrder ord(d.positions);
   const geom::SpatialGrid grid(ord.points(), d.max_range);
   tn::parallel_for(n, 256, [&](std::size_t begin, std::size_t end) {
-    // Per-chunk winner row, recycled from the thread's scratch arena and
-    // copied out once per node (no false sharing on table rows).
-    tn::ScratchScope scope;
-    std::span<double> best_rank = scope.arena().alloc_span<double>(buckets);
-    std::span<double> best_d2 = scope.arena().alloc_span<double>(buckets);
-    std::span<graph::NodeId> best =
-        scope.arena().alloc_span<graph::NodeId>(buckets);
+    // Per-chunk winner row, reset per node and copied out once per node
+    // (no false sharing on table rows).
+    std::vector<double> best_rank(buckets);
+    std::vector<double> best_d2(buckets);
+    std::vector<graph::NodeId> best(buckets);
     for (std::size_t si = begin; si < end; ++si) {
       const graph::NodeId u = ord.to_orig(static_cast<std::uint32_t>(si));
       const geom::Vec2 pu = ord.points()[si];
@@ -141,11 +138,8 @@ std::vector<graph::NodeId> admit_per_bucket(
         acc.insert(acc.end(), part.begin(), part.end());
         return acc;
       });
-  tn::ScratchScope scope;
-  std::span<double> best_rank =
-      scope.arena().alloc_span<double>(n * buckets);
-  std::fill(best_rank.begin(), best_rank.end(),
-            std::numeric_limits<double>::infinity());
+  std::vector<double> best_rank(n * buckets,
+                                std::numeric_limits<double>::infinity());
   for (const Candidate& c : candidates) {
     graph::NodeId& cur = admitted[c.slot];
     double& br = best_rank[c.slot];

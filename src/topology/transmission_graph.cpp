@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/arena.h"
 #include "common/parallel.h"
 #include "common/radix.h"
 #include "geom/spatial_grid.h"
@@ -50,9 +49,8 @@ graph::Graph build_transmission_graph(const Deployment& d) {
   {
     // Keys are unique (one copy per pair), so the radix sort yields the
     // unique ascending order — no dedup pass needed.
-    tn::ScratchScope scope;
-    tn::radix_sort_u64(packed,
-                       scope.arena().alloc_span<std::uint64_t>(packed.size()));
+    std::vector<std::uint64_t> staging(packed.size());
+    tn::radix_sort_u64(packed, staging);
   }
   graph::GraphBuilder b(n);
   b.reserve_edges(packed.size());

@@ -2,8 +2,9 @@
 // (edge-length-sized cells, single-emission pair discovery, count-only
 // sizes) must reproduce the reference exactly — same sets, same sizes, in
 // ascending edge-id order — on random instances across the guard-zone
-// sweep, on degenerate layouts (coincident nodes, collinear clusters), and
-// for every pool size.
+// sweep, on degenerate layouts (coincident nodes, collinear clusters), on
+// an instance large enough for the bucketed pair sort, and for every pool
+// size.
 
 #include <gtest/gtest.h>
 
@@ -41,7 +42,7 @@ void expect_grid_matches_brute(const graph::Graph& g,
   const InterferenceModel m{delta};
   const auto expect = brute_sets(g, d, m);
   const int saved = tn::num_threads();
-  for (const int threads : {1, 2, 7}) {
+  for (const int threads : {1, 2, 4, 7}) {
     tn::set_num_threads(threads);
     const auto sets = interference_sets(g, d, m);
     const auto sizes = interference_set_sizes(g, d, m);
@@ -102,6 +103,24 @@ TEST_P(BruteForceSweep, CollinearClustersMatch) {
   d.kappa = 2.0;
   const graph::Graph g = topo::build_transmission_graph(d);
   ASSERT_GT(g.num_edges(), 0u);
+  expect_grid_matches_brute(g, d, GetParam());
+}
+
+TEST_P(BruteForceSweep, BucketedPairSortMatches) {
+  // interference_sets sorts its pair list in one bucket up to 2^18 pairs
+  // and splits it into buckets sorted in parallel above that; the small
+  // instances above never leave the single bucket.
+  geom::Rng rng(23);
+  topo::Deployment d;
+  d.positions = topo::uniform_square(300, 1.0, rng);
+  d.max_range = 0.15;
+  d.kappa = 2.0;
+  const graph::Graph g = topo::build_transmission_graph(d);
+  const InterferenceModel m{GetParam()};
+  std::size_t pairs = 0;
+  for (const std::uint32_t s : interference_set_sizes(g, d, m)) pairs += s;
+  pairs /= 2;  // each pair sits in both of its edges' sets
+  ASSERT_GT(pairs, std::size_t{1} << 18);
   expect_grid_matches_brute(g, d, GetParam());
 }
 

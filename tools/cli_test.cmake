@@ -121,4 +121,23 @@ if(rc EQUAL 0)
   message(FATAL_ERROR "missing input should fail")
 endif()
 
+# Count flags out of range (negative, or too few cones) exit 2 naming the
+# flag instead of converting to an unsigned type or tripping an assertion.
+foreach(bad "generate;--seed;-1"
+            "build;--in;dep.tsv;--topology;knn;--k;-1"
+            "build;--in;dep.tsv;--topology;theta-theta;--cones;1"
+            "scoreboard;--n;12;--pairs;-1"
+            "scoreboard;--n;12;--routing-seed;-1"
+            "scoreboard;--n;12;--trace-seed;-1"
+            "scoreboard;--n;12;--seed;-1")
+  list(GET bad -2 flag)
+  execute_process(COMMAND ${CLI} ${bad}
+    WORKING_DIRECTORY ${WORKDIR} RESULT_VARIABLE rc
+    OUTPUT_QUIET ERROR_VARIABLE err)
+  if(NOT rc EQUAL 2 OR NOT err MATCHES "bad value for ${flag}")
+    message(FATAL_ERROR "${bad} should exit 2 with 'bad value for ${flag}', "
+                        "got ${rc}: ${err}")
+  endif()
+endforeach()
+
 message(STATUS "cli pipeline OK")

@@ -124,14 +124,19 @@ std::uint64_t get_count(const Args& a, const std::string& key,
   return static_cast<std::uint64_t>(v);
 }
 
+// Count caps: where the target type ends, or where doubles stop holding
+// every integer (2^53).
+constexpr std::uint64_t kU32 = std::numeric_limits<std::uint32_t>::max();
+constexpr std::uint64_t kExact = std::uint64_t{1} << 53;
+
 /// Shared deployment generator for `generate` and `scoreboard` (same flags,
 /// same seeds, same distributions). Returns nullopt on an unknown --dist.
 std::optional<topo::Deployment> make_deployment(const Args& args,
                                                 std::string* dist_out) {
-  const std::size_t n = static_cast<std::size_t>(get_num(args, "n", 256));
+  const std::size_t n = get_count(args, "n", 256, kU32);
   const std::string dist = get(args, "dist", "uniform");
   if (dist_out) *dist_out = dist;
-  geom::Rng rng(static_cast<std::uint64_t>(get_num(args, "seed", 1)));
+  geom::Rng rng(get_count(args, "seed", 1, kExact));
   topo::Deployment d;
   d.kappa = get_num(args, "kappa", 2.0);
   const double auto_range =
@@ -195,7 +200,7 @@ int cmd_build(const Args& args) {
   } else if (kind == "rdelaunay") {
     g = topo::restricted_delaunay_graph(*d);
   } else if (kind == "knn") {
-    g = topo::knn_graph(*d, static_cast<std::size_t>(get_num(args, "k", 3)));
+    g = topo::knn_graph(*d, get_count(args, "k", 3, kU32));
   } else if (kind == "mst") {
     g = topo::euclidean_mst(*d);
   } else if (kind == "cbtc") {
@@ -206,9 +211,10 @@ int cmd_build(const Args& args) {
   } else if (kind == "gstar") {
     g = topo::build_transmission_graph(*d);
   } else if (kind == "theta-theta") {
-    g = topo::theta_theta_graph(
-        *d, topo::ConeScheme{
-                static_cast<int>(get_num(args, "cones", 12)), 0.0});
+    const auto cones = static_cast<int>(
+        get_count(args, "cones", 12, std::numeric_limits<int>::max()));
+    if (cones < 2) bad_value("cones", get(args, "cones", ""));  // k >= 2
+    g = topo::theta_theta_graph(*d, topo::ConeScheme{cones, 0.0});
   } else if (kind == "theta4") {
     g = topo::theta4_graph(*d);
   } else if (kind == "hng") {
@@ -285,11 +291,9 @@ int cmd_scoreboard(const Args& args) {
 
   sim::ScoreboardOptions opt;
   opt.delta = get_num(args, "delta", 1.0);
-  opt.routing_pairs =
-      static_cast<std::size_t>(get_num(args, "pairs", 512));
-  opt.routing_seed =
-      static_cast<std::uint64_t>(get_num(args, "routing-seed", 1));
-  opt.trace_seed = static_cast<std::uint64_t>(get_num(args, "trace-seed", 1));
+  opt.routing_pairs = get_count(args, "pairs", 512, kU32);
+  opt.routing_seed = get_count(args, "routing-seed", 1, kExact);
+  opt.trace_seed = get_count(args, "trace-seed", 1, kExact);
   opt.run_router = get_num(args, "router", 1) != 0;
   const std::string only = get(args, "only", "");
   for (std::size_t pos = 0; pos < only.size();) {
@@ -329,7 +333,7 @@ int cmd_scoreboard(const Args& args) {
       return 1;
     }
     sim::ScoreboardMeta meta;
-    meta.seed = static_cast<std::uint64_t>(get_num(args, "seed", 1));
+    meta.seed = get_count(args, "seed", 1, kExact);
     meta.dist = dist;
     sim::write_scoreboard_json(jf, meta, sb);
     if (!jf) {
@@ -529,10 +533,6 @@ int cmd_serve(const Args& args) {
 }
 
 int cmd_soak(const Args& args) {
-  // Counts are capped where their type (or exact double integers, 2^53)
-  // ends.
-  constexpr std::uint64_t kU32 = std::numeric_limits<std::uint32_t>::max();
-  constexpr std::uint64_t kExact = std::uint64_t{1} << 53;
   serve::SoakSpec spec;
   spec.n = get_count(args, "n", 512, kU32);
   spec.topo_seed = get_count(args, "seed", 1, kExact);
