@@ -1,30 +1,23 @@
-// Google-benchmark microbenchmarks for the computational kernels: ThetaALG
-// construction, transmission-graph build, interference sets, Dijkstra, the
-// balancing step, and the local message protocol. These are throughput
-// numbers for the library itself (not paper claims).
+// Thread-count sweep of the parallel construction kernels (ΘALG sector
+// table and build, transmission graph, Gabriel graph, interference sets and
+// set sizes): TN_NUM_THREADS 1/2/4/max over n in {1k, 10k, 100k, 1M},
+// written as machine-readable BENCH_kernels.json to the working directory.
+// Each entry carries a per-(kernel, n) bit-identity check across thread
+// counts, the kernel's grid scan counters (queries / points examined) so
+// spatial over-scan is observable, and the peak RSS of the forked child
+// that timed it (getrusage), reported as ns/node + bytes/node so the
+// large-n memory footprint is a first-class benchmark output. Each entry is
+// timed in a forked child so allocator state left by earlier entries
+// cannot contaminate its numbers (see time_kernel).
 //
-// Before the google-benchmark suite, main() runs a thread-count sweep
-// (TN_NUM_THREADS 1/2/4/max) of the parallelized construction kernels over
-// n in {1k, 10k, 100k, 1M} and writes machine-readable BENCH_kernels.json
-// to the working directory, including a per-(kernel, n) bit-identity check
-// across thread counts, per-kernel grid scan counters (queries / points
-// examined) so spatial over-scan is observable, and per-entry peak RSS
-// (getrusage in the forked child) reported as ns/node + bytes/node so the
-// large-n memory footprint is a first-class benchmark output. Each entry
-// is timed in a forked child so allocator state left by earlier entries
-// cannot contaminate its numbers (see time_kernel). TN_BENCH_SWEEP=0
-// skips the sweep; TN_BENCH_SWEEP_MAX_N caps the largest n (e.g. 10000 for
-// a quick pass); TN_BENCH_SWEEP_NS="500,2000" replaces the size list
-// entirely (the ctest smoke run uses 500). --max-rss-mb N (or
-// TN_BENCH_MAX_RSS_MB) sets a peak-RSS budget: an entry whose footprint,
-// extrapolated from the same kernel's last completed size, would exceed
-// the budget is skipped-and-noted in the JSON instead of OOM-killing the
-// child (an RLIMIT backstop in the child catches runaway allocation the
-// prediction missed). Any kernel whose speedup_vs_1 drops below 0.9 (and
-// whose 1-thread run is >= 5 ms — shorter runs are jitter) is flagged on
-// stderr and in "speedup_regressions".
-
-#include <benchmark/benchmark.h>
+// TN_BENCH_SWEEP_NS="500,2000" replaces the size list (the ctest smoke run
+// uses 500). --max-rss-mb N sets a peak-RSS budget: an entry whose
+// footprint, extrapolated from the same kernel's last completed size,
+// would exceed the budget is skipped-and-noted in the JSON instead of
+// OOM-killing the child (an RLIMIT backstop in the child catches runaway
+// allocation the prediction missed). Any kernel whose speedup_vs_1 drops
+// below 0.9 (and whose 1-thread run is >= 5 ms — shorter runs are jitter)
+// is flagged on stderr and in "speedup_regressions".
 
 #include <algorithm>
 #include <chrono>
@@ -39,21 +32,11 @@
 #include <thread>
 #include <vector>
 
-#include "geom/spatial_grid.h"
-
 #include "common.h"
 #include "common/parallel.h"
 #include "obs/metrics.h"
-#include "obs/timeseries.h"
-#include "obs/trace_sink.h"
 
-#include "core/balancing_router.h"
-#include "core/local_protocol.h"
-#include "core/contention_protocol.h"
 #include "core/theta_topology.h"
-#include "geom/hex_tiling.h"
-#include "routing/adversary.h"
-#include "graph/shortest_paths.h"
 #include "interference/model.h"
 #include "topology/distributions.h"
 #include "topology/proximity.h"
@@ -73,137 +56,6 @@ topo::Deployment deployment(std::size_t n) {
   d.kappa = 2.0;
   return d;
 }
-
-void BM_TransmissionGraph(benchmark::State& state) {
-  const auto d = deployment(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state)
-    benchmark::DoNotOptimize(topo::build_transmission_graph(d));
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_TransmissionGraph)->Arg(256)->Arg(1024)->Arg(4096);
-
-void BM_ThetaTopologyBuild(benchmark::State& state) {
-  const auto d = deployment(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    core::ThetaTopology tt(d, kTheta);
-    benchmark::DoNotOptimize(tt.graph().num_edges());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_ThetaTopologyBuild)->Arg(256)->Arg(1024)->Arg(4096);
-
-void BM_LocalProtocol(benchmark::State& state) {
-  const auto d = deployment(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state)
-    benchmark::DoNotOptimize(core::run_local_protocol(d, kTheta));
-}
-BENCHMARK(BM_LocalProtocol)->Arg(256)->Arg(1024);
-
-void BM_InterferenceSets(benchmark::State& state) {
-  const auto d = deployment(static_cast<std::size_t>(state.range(0)));
-  const core::ThetaTopology tt(d, kTheta);
-  const interf::InterferenceModel m{1.0};
-  for (auto _ : state)
-    benchmark::DoNotOptimize(interf::interference_sets(tt.graph(), d, m));
-}
-BENCHMARK(BM_InterferenceSets)->Arg(256)->Arg(1024)->Arg(4096);
-
-void BM_Dijkstra(benchmark::State& state) {
-  const auto d = deployment(static_cast<std::size_t>(state.range(0)));
-  const core::ThetaTopology tt(d, kTheta);
-  graph::NodeId src = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        graph::dijkstra(tt.graph(), src, graph::Weight::kCost));
-    src = (src + 1) % static_cast<graph::NodeId>(tt.graph().num_nodes());
-  }
-}
-BENCHMARK(BM_Dijkstra)->Arg(1024)->Arg(4096);
-
-void BM_ReplacementPath(benchmark::State& state) {
-  const auto d = deployment(1024);
-  const core::ThetaTopology tt(d, kTheta);
-  const graph::Graph gstar = topo::build_transmission_graph(d);
-  geom::Rng rng(17);
-  for (auto _ : state) {
-    const auto& e = gstar.edge(
-        static_cast<graph::EdgeId>(rng.uniform_index(gstar.num_edges())));
-    benchmark::DoNotOptimize(tt.replacement_path(e.u, e.v));
-  }
-}
-BENCHMARK(BM_ReplacementPath);
-
-void BM_BalancingStep(benchmark::State& state) {
-  const auto d = deployment(256);
-  const core::ThetaTopology tt(d, kTheta);
-  const graph::Graph& g = tt.graph();
-  core::BalancingRouter router(g.num_nodes(), {1.0, 0.0, 1 << 20});
-  route::RunMetrics m;
-  geom::Rng rng(3);
-  for (std::uint64_t i = 0; i < 5000; ++i) {
-    const auto s = static_cast<graph::NodeId>(rng.uniform_index(g.num_nodes()));
-    auto t = static_cast<graph::NodeId>(rng.uniform_index(g.num_nodes() - 1));
-    if (t >= s) ++t;
-    router.inject(route::Packet{i, s, t, 0, 0.0, 0}, m);
-  }
-  std::vector<graph::EdgeId> active(g.num_edges());
-  for (graph::EdgeId e = 0; e < active.size(); ++e) active[e] = e;
-  std::vector<double> costs(g.num_edges());
-  for (graph::EdgeId e = 0; e < costs.size(); ++e) costs[e] = g.edge(e).cost;
-  route::Time now = 0;
-  for (auto _ : state) {
-    const auto txs = router.plan(g, active, costs);
-    router.execute(txs, {}, costs, now++, m);
-    benchmark::DoNotOptimize(m.deliveries);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(g.num_edges()));
-}
-BENCHMARK(BM_BalancingStep);
-
-void BM_GabrielGraph(benchmark::State& state) {
-  const auto d = deployment(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) benchmark::DoNotOptimize(topo::gabriel_graph(d));
-}
-BENCHMARK(BM_GabrielGraph)->Arg(256)->Arg(1024);
-
-void BM_CertifiedTraceGeneration(benchmark::State& state) {
-  const auto d = deployment(64);
-  const core::ThetaTopology tt(d, kTheta);
-  route::TraceParams tp;
-  tp.horizon = 2000;
-  tp.injections_per_step = 1.0;
-  tp.num_sources = 4;
-  tp.num_destinations = 2;
-  geom::Rng rng(5);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(route::make_certified_trace(tt.graph(), tp, rng));
-}
-BENCHMARK(BM_CertifiedTraceGeneration);
-
-void BM_HexCellOf(benchmark::State& state) {
-  const geom::HexTiling tiling(4.0);
-  geom::Rng rng(6);
-  geom::Vec2 p{rng.uniform(), rng.uniform()};
-  for (auto _ : state) {
-    p.x += 0.37;
-    if (p.x > 100.0) p.x -= 200.0;
-    benchmark::DoNotOptimize(tiling.cell_of(p));
-  }
-}
-BENCHMARK(BM_HexCellOf);
-
-void BM_ContentionProtocolSmall(benchmark::State& state) {
-  const auto d = deployment(64);
-  geom::Rng rng(7);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(
-        core::run_contention_protocol(d, kTheta, 0.05, rng));
-}
-BENCHMARK(BM_ContentionProtocolSmall);
-
-// ---------------------------------------------------------------------------
-// Thread-count sweep -> BENCH_kernels.json
 
 // FNV-1a over the output so the sweep can assert bit-identical results
 // across thread counts (the parallel layer's determinism contract).
@@ -251,8 +103,7 @@ struct SweepResult {
   bool ok;  // false: the child died (memory backstop) — entry is skipped
 };
 
-// Peak-RSS budget for sweep entries; 0 = unlimited. Set by --max-rss-mb or
-// TN_BENCH_MAX_RSS_MB.
+// Peak-RSS budget for sweep entries; 0 = unlimited. Set by --max-rss-mb.
 double g_max_rss_mb = 0.0;
 
 struct SweepKernel {
@@ -320,16 +171,22 @@ void isolate_heap() {
 #endif
 }
 
-// Time one run; repeat small sizes and keep the minimum. Grid scan
-// counters are captured per rep (they are identical across reps — the
-// kernels are deterministic — so the last rep's snapshot is *the* value).
+// Time one run; repeat sizes up to 10^5 and keep the minimum (a single
+// n = 10^5 run is too noisy for bench_compare to tell two sweeps of the
+// same code apart). Peak RSS is read after the first rep: it is the
+// process's high-water mark, and a later rep raises it with what the
+// allocator kept from the previous one (n = 10^5 interference_sets: 4.4 GB
+// after one rep, 5.7 GB after three). Grid scan counters are captured per
+// rep (they are identical across reps — the kernels are deterministic — so
+// the last rep's snapshot is *the* value).
 SweepResult measure_in_process(const SweepKernel& k, const topo::Deployment& d,
                                const graph::Graph& theta, std::size_t n,
                                int threads) {
   tn::set_num_threads(threads);
   isolate_heap();
-  const int reps = n <= 10000 ? 3 : 1;
+  const int reps = n <= 100000 ? 3 : 1;
   double best_ms = 0.0;
+  double rss_mb = 0.0;
   std::uint64_t checksum = 0;
   std::uint64_t queries = 0;
   std::uint64_t points = 0;
@@ -342,10 +199,11 @@ SweepResult measure_in_process(const SweepKernel& k, const topo::Deployment& d,
     points = probe.count("grid.points_examined");
     const double ms =
         std::chrono::duration<double, std::milli>(t1 - t0).count();
+    if (r == 0) rss_mb = bench::peak_rss_mb();
     if (r == 0 || ms < best_ms) best_ms = ms;
   }
-  return {k.name,  n,      threads,       best_ms, checksum,
-          queries, points, bench::peak_rss_mb(), true};
+  return {k.name, n, threads, best_ms, checksum, queries, points, rss_mb,
+          true};
 }
 
 // Measure one sweep entry in a forked child so every entry sees a pristine
@@ -354,9 +212,8 @@ SweepResult measure_in_process(const SweepKernel& k, const topo::Deployment& d,
 // n=10k interference kernels (small-n rounds fragment the heap; large
 // transient buffers then land on scattered 4 KiB pages instead of fresh
 // mappings). The child ships its SweepResult back whole: `kernel` points
-// at a static name, valid in both processes. The sweep runs before the
-// google-benchmark suite with parent-side code pinned to one thread, so
-// the parent is pool-free as run_in_child requires.
+// at a static name, valid in both processes. Parent-side code is pinned to
+// one thread, so the parent is pool-free as run_in_child requires.
 SweepResult time_kernel(const SweepKernel& k, const topo::Deployment& d,
                         const graph::Graph& theta, std::size_t n,
                         int threads) {
@@ -400,12 +257,13 @@ TelemetryOverhead measure_telemetry_overhead() {
   const topo::Deployment d = deployment(n);
   tn::set_num_threads(1);
   const graph::Graph theta = core::ThetaTopology(d, kTheta).graph();
+  // A volatile store is observable behaviour, so every timed run's output
+  // must be computed in full.
+  volatile std::uint64_t sink = 0;
   const auto run_once = [&] {
     isolate_heap();
     const auto t0 = std::chrono::steady_clock::now();
-    std::uint64_t sink = run_theta_build(d, theta);
-    sink ^= run_interference_sets(d, theta);
-    benchmark::DoNotOptimize(sink);
+    sink = run_theta_build(d, theta) ^ run_interference_sets(d, theta);
     const auto t1 = std::chrono::steady_clock::now();
     return std::chrono::duration<double, std::milli>(t1 - t0).count();
   };
@@ -440,17 +298,10 @@ std::vector<std::size_t> sweep_sizes() {
       p = *end == ',' ? end + 1 : end;
     }
   }
-  if (const char* s = std::getenv("TN_BENCH_SWEEP_MAX_N")) {
-    const auto max_n = static_cast<std::size_t>(std::strtoull(s, nullptr, 10));
-    std::erase_if(ns, [&](std::size_t n) { return n > max_n; });
-  }
   return ns;
 }
 
-void run_thread_sweep() {
-  if (const char* s = std::getenv("TN_BENCH_SWEEP"))
-    if (std::string(s) == "0") return;
-
+int run_thread_sweep() {
   std::vector<int> threads{1, 2, 4, tn::hardware_threads()};
   std::sort(threads.begin(), threads.end());
   threads.erase(std::unique(threads.begin(), threads.end()), threads.end());
@@ -571,7 +422,7 @@ void run_thread_sweep() {
   std::FILE* out = std::fopen("BENCH_kernels.json", "w");
   if (out == nullptr) {
     std::fprintf(stderr, "cannot write BENCH_kernels.json\n");
-    return;
+    return 1;
   }
   std::fprintf(out, "{\n  \"hardware_concurrency\": %u,\n",
                std::thread::hardware_concurrency());
@@ -621,53 +472,18 @@ void run_thread_sweep() {
   std::fprintf(out, "  ]\n}\n");
   std::fclose(out);
   std::printf("wrote BENCH_kernels.json\n");
+  return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Strip --telemetry FILE / --telemetry-series POINTS before
-  // google-benchmark sees (and rejects) them.
-  std::string telemetry_path;
-  const auto strip_flag = [&](const char* flag) -> std::string {
-    for (int i = 1; i < argc; ++i) {
-      if (std::strcmp(argv[i], flag) == 0 && i + 1 < argc) {
-        const std::string value = argv[i + 1];
-        for (int j = i; j + 2 <= argc; ++j) argv[j] = argv[j + 2];
-        argc -= 2;
-        return value;
-      }
+  for (int i = 1; i < argc; i += 2) {
+    if (std::strcmp(argv[i], "--max-rss-mb") != 0 || i + 1 == argc) {
+      std::fprintf(stderr, "usage: bench_kernels [--max-rss-mb MB]\n");
+      return 2;
     }
-    return {};
-  };
-  telemetry_path = strip_flag("--telemetry");
-  if (const std::string cap = strip_flag("--max-rss-mb"); !cap.empty())
-    g_max_rss_mb = std::stod(cap);
-  else if (const char* env = std::getenv("TN_BENCH_MAX_RSS_MB"))
-    g_max_rss_mb = std::strtod(env, nullptr);
-  if (const std::string cap = strip_flag("--telemetry-series"); !cap.empty()) {
-    // Retained points per series before downsampling kicks in — lets a
-    // profiling run keep full per-round resolution (or clamp memory down).
-    obs::SeriesRegistry::global().set_capacity(
-        static_cast<std::size_t>(std::stoull(cap)));
+    g_max_rss_mb = bench::parse_flag<double>(argv[i], argv[i + 1]);
   }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  // Sweep first: its parent-side code never runs the pool with more than
-  // one thread, so the per-entry fork in time_kernel is safe. The
-  // google-benchmark suite spawns pool workers, and forking a process
-  // that has them would hand every child a pool of phantom threads.
-  run_thread_sweep();
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  if (!telemetry_path.empty()) {
-    // A profiling dump for humans: include wall time and timing-class
-    // metrics (deterministic dumps come from the conformance fuzz driver).
-    if (!obs::write_telemetry_json(telemetry_path, /*include_timing=*/true)) {
-      std::fprintf(stderr, "cannot write %s\n", telemetry_path.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", telemetry_path.c_str());
-  }
-  return 0;
+  return run_thread_sweep();
 }

@@ -8,7 +8,7 @@
 //   * engine "soa"       — the production sustained-load path
 //                          (plan_all_edges_into: active-node candidate scan,
 //                          deduplicated and ordered by a per-edge bitmap
-//                          sweep; the thread sweep runs here);
+//                          sweep);
 //   * engine "reference" — the pre-SoA map-of-vectors oracle
 //                          (routing/reference_router.h), measured at matched
 //                          workload so speedup_vs_reference is apples to
@@ -18,9 +18,10 @@
 // forked child's peak RSS, a warm-up RSS snapshot with an rss_flat verdict
 // (peak RSS after warm-up must not keep growing — the O(capacity) steady-
 // state memory claim), and an FNV checksum over the full planned-tx stream.
-// The checksum doubles as the cross-thread bit-identity check (TN_NUM_THREADS
-// 1/2/4 must plan identical transmissions) and as the reference-equivalence
-// check (the oracle must plan the same stream at matched workload).
+// The checksum doubles as the reference-equivalence check (the oracle must
+// plan the same stream at matched workload). The step loop is serial, so
+// the matrix runs at one thread; the router_telemetry_thread_diff ctests
+// pin its output across TN_NUM_THREADS.
 //
 // The matrix also sweeps the router's control-plane ledger at advertisement
 // quantum 2 (BalancingRouter(n, params, 2), matched Poisson workload, same
@@ -31,7 +32,8 @@
 //
 // Each entry is timed in a forked child (bench::run_in_child, shared with
 // bench_kernels: allocator state must not leak across entries; an RLIMIT_AS
-// backstop catches runaway allocation under --max-rss-mb).
+// backstop catches runaway allocation under --max-rss-mb MB, the matrix
+// mode's only flag).
 //
 // --single mode runs one configuration in-process (used by the ctest smoke,
 // memory-budget and telemetry byte-identity tests):
@@ -115,7 +117,6 @@ struct RunConfig {
   double threshold = 0.5;
   double gamma = 0.0;
   std::size_t max_height = 32;
-  int threads = 0;  // 0: inherit (TN_NUM_THREADS / set_num_threads)
   /// Advertisement quantum of the soa engine's BalancingRouter (>= 1 for
   /// the control-plane ledger sweep).
   std::size_t quantum = 0;
@@ -152,7 +153,6 @@ void mix_txs(Fnv& f, const std::vector<Tx>& txs) {
 /// run; a steady-state loop must not grow its footprint past that point
 /// (modulo the final snapshot's own noise), which is what rss_flat asserts.
 SimOut run_sim(const graph::Graph& g, const RunConfig& cfg) {
-  if (cfg.threads > 0) tn::set_num_threads(cfg.threads);
   std::vector<double> costs(g.num_edges());
   for (graph::EdgeId e = 0; e < costs.size(); ++e) costs[e] = g.edge(e).cost;
   std::vector<graph::EdgeId> all_edges;
@@ -315,7 +315,6 @@ int run_matrix() {
                          P::kAdversarialCut};
 
   std::vector<Entry> entries;
-  bool all_identical = true;
   bool reference_match = true;
 
   // Control-plane ledger sweep (ROADMAP item 2's leftover): the router's
@@ -348,7 +347,6 @@ int run_matrix() {
         e.cfg.spec = workload_spec(p, n);
         e.cfg.engine = eng;
         e.cfg.rounds = base_rounds;
-        e.cfg.threads = 1;
         const std::optional<SimOut> r = time_entry(g, e.cfg);
         if (!r) continue;
         e.r = *r;
@@ -383,41 +381,12 @@ int run_matrix() {
       }
     }
 
-    // Cross-thread bit-identity of the production engine.
-    std::uint64_t baseline = 0;
-    bool have_baseline = false;
-    for (const int threads : {1, 2, 4}) {
-      Entry e;
-      e.n = n;
-      e.cfg.spec = workload_spec(P::kPoisson, n);
-      e.cfg.engine = Engine::kSoa;
-      e.cfg.rounds = std::max<std::uint64_t>(1, base_rounds / 4);
-      e.cfg.threads = threads;
-      const std::optional<SimOut> r = time_entry(g, e.cfg);
-      if (!r) continue;
-      e.r = *r;
-      if (!have_baseline) {
-        baseline = e.r.checksum;
-        have_baseline = true;
-      } else if (e.r.checksum != baseline) {
-        all_identical = false;
-        std::fprintf(stderr,
-                     "DETERMINISM VIOLATION: poisson/soa n=%zu "
-                     "threads=%d\n",
-                     n, threads);
-      }
-      std::printf("router poisson     soa       n=%-7zu threads=%d  %10.2f ms\n",
-                  n, threads, e.r.ms);
-      entries.push_back(e);
-    }
-
     // Quantized control plane at this n: matched closed-loop Poisson
     // workload, quantum 2 (the staleness/bandwidth sweet spot of E15).
     {
       RunConfig cfg;
       cfg.spec = workload_spec(P::kPoisson, n);
       cfg.rounds = base_rounds;
-      cfg.threads = 1;
       cfg.quantum = 2;
       if (const std::optional<SimOut> r = time_entry(g, cfg)) {
         control_rows.push_back(
@@ -448,7 +417,6 @@ int run_matrix() {
     e.cfg.spec = workload_spec(P::kPoisson, n);
     e.cfg.engine = Engine::kSoa;
     e.cfg.rounds = accept_rounds;
-    e.cfg.threads = 1;
     e.accept = true;
     if (const std::optional<SimOut> r = time_entry(tt.graph(), e.cfg)) {
       e.r = *r;
@@ -461,7 +429,6 @@ int run_matrix() {
       entries.push_back(e);
     }
   }
-  tn::set_num_threads(1);
 
   // Speedups vs the reference oracle at matched (workload, n, rounds).
   struct Speedup {
@@ -472,7 +439,7 @@ int run_matrix() {
   };
   std::vector<Speedup> speedups;
   for (const Entry& e : entries) {
-    if (e.cfg.engine == Engine::kReference || e.cfg.threads != 1 || e.accept)
+    if (e.cfg.engine == Engine::kReference || e.accept)
       continue;
     for (const Entry& ref : entries) {
       if (ref.cfg.engine == Engine::kReference && ref.n == e.n &&
@@ -497,8 +464,6 @@ int run_matrix() {
   std::fprintf(out, "{\n  \"schema\": \"thetanet-bench-router/1\",\n");
   std::fprintf(out, "  \"hardware_concurrency\": %d,\n",
                tn::hardware_threads());
-  std::fprintf(out, "  \"outputs_bit_identical_across_threads\": %s,\n",
-               all_identical ? "true" : "false");
   std::fprintf(out, "  \"reference_plans_match\": %s,\n",
                reference_match ? "true" : "false");
   std::fprintf(out, "  \"speedups_vs_reference\": [");
@@ -537,7 +502,7 @@ int run_matrix() {
     std::fprintf(
         out,
         "    {\"workload\": \"%s\", \"engine\": \"%s\", \"n\": %zu, "
-        "\"rate\": %.3f, \"window\": %u, \"rounds\": %llu, \"threads\": %d, "
+        "\"rate\": %.3f, \"window\": %u, \"rounds\": %llu, "
         "\"ms\": %.3f, \"rounds_per_sec\": %.0f, \"packets_per_sec\": %.0f, "
         "\"ns_per_packet_hop\": %.1f, \"deliveries\": %llu, "
         "\"attempted_tx\": %llu, \"injected_accepted\": %llu, "
@@ -546,7 +511,7 @@ int run_matrix() {
         "\"checksum\": \"%016llx\"}%s\n",
         route::injection_process_name(e.cfg.spec.process),
         engine_name(e.cfg.engine), e.n, e.cfg.spec.rate, e.cfg.spec.window,
-        static_cast<unsigned long long>(r.rounds), e.cfg.threads, r.ms,
+        static_cast<unsigned long long>(r.rounds), r.ms,
         sec > 0 ? static_cast<double>(r.rounds) / sec : 0.0,
         sec > 0 ? static_cast<double>(r.deliveries) / sec : 0.0,
         r.attempted_tx > 0 ? r.ms * 1e6 / static_cast<double>(r.attempted_tx)
@@ -564,7 +529,7 @@ int run_matrix() {
   std::fprintf(out, "  ]\n}\n");
   std::fclose(out);
   std::printf("wrote BENCH_router.json\n");
-  return (all_identical && reference_match) ? 0 : 1;
+  return reference_match ? 0 : 1;
 }
 
 // ---------------------------------------------------------------------------
@@ -585,58 +550,59 @@ int run_single(int argc, char** argv) {
   bool check_flat = false;
 
   for (int i = 2; i < argc; ++i) {
-    const char* v = nullptr;
-    const auto val = [&](const char* flag) -> bool {
-      if (std::strcmp(argv[i], flag) == 0 && i + 1 < argc) {
-        v = argv[++i];
-        return true;
-      }
-      return false;
+    const char* flag = argv[i];
+    const auto is = [&](const char* name) {
+      return std::strcmp(flag, name) == 0;
     };
-    if (val("--workload")) {
+    if (is("--check-flat-rss")) {
+      check_flat = true;
+      continue;
+    }
+    if (i + 1 == argc) {
+      std::fprintf(stderr, "bench_router: unknown flag '%s'\n", flag);
+      return 2;
+    }
+    const char* v = argv[++i];
+    if (is("--workload")) {
       if (!route::parse_injection_process(v, &cfg.spec.process)) {
         std::fprintf(stderr, "bench_router: unknown workload '%s'\n", v);
         return 2;
       }
-    } else if (val("--engine")) {
+    } else if (is("--engine")) {
       if (std::strcmp(v, "soa") == 0) cfg.engine = Engine::kSoa;
       else if (std::strcmp(v, "reference") == 0) cfg.engine = Engine::kReference;
       else {
         std::fprintf(stderr, "bench_router: unknown engine '%s'\n", v);
         return 2;
       }
-    } else if (val("--n")) {
-      n = std::strtoull(v, nullptr, 10);
-    } else if (val("--rate")) {
-      cfg.spec.rate = std::strtod(v, nullptr);
-    } else if (val("--rounds")) {
-      cfg.rounds = std::strtoull(v, nullptr, 10);
-    } else if (val("--window")) {
-      cfg.spec.window = static_cast<std::uint32_t>(std::strtoul(v, nullptr, 10));
-    } else if (val("--sources")) {
-      cfg.spec.num_sources =
-          static_cast<std::uint32_t>(std::strtoul(v, nullptr, 10));
-    } else if (val("--dests")) {
-      cfg.spec.num_destinations =
-          static_cast<std::uint32_t>(std::strtoul(v, nullptr, 10));
-    } else if (val("--threshold")) {
-      cfg.threshold = std::strtod(v, nullptr);
-    } else if (val("--gamma")) {
-      cfg.gamma = std::strtod(v, nullptr);
-    } else if (val("--max-height")) {
-      cfg.max_height = std::strtoull(v, nullptr, 10);
-    } else if (val("--seed")) {
-      cfg.spec.seed = std::strtoull(v, nullptr, 10);
-    } else if (val("--telemetry")) {
+    } else if (is("--n")) {
+      n = bench::parse_flag<std::size_t>(flag, v);
+    } else if (is("--rate")) {
+      cfg.spec.rate = bench::parse_flag<double>(flag, v);
+    } else if (is("--rounds")) {
+      cfg.rounds = bench::parse_flag<std::uint64_t>(flag, v);
+    } else if (is("--window")) {
+      cfg.spec.window = bench::parse_flag<std::uint32_t>(flag, v);
+    } else if (is("--sources")) {
+      cfg.spec.num_sources = bench::parse_flag<std::uint32_t>(flag, v);
+    } else if (is("--dests")) {
+      cfg.spec.num_destinations = bench::parse_flag<std::uint32_t>(flag, v);
+    } else if (is("--threshold")) {
+      cfg.threshold = bench::parse_flag<double>(flag, v);
+    } else if (is("--gamma")) {
+      cfg.gamma = bench::parse_flag<double>(flag, v);
+    } else if (is("--max-height")) {
+      cfg.max_height = bench::parse_flag<std::size_t>(flag, v);
+    } else if (is("--seed")) {
+      cfg.spec.seed = bench::parse_flag<std::uint64_t>(flag, v);
+    } else if (is("--telemetry")) {
       telemetry_path = v;
-    } else if (val("--max-rss-mb")) {
-      max_rss_mb = std::strtod(v, nullptr);
-    } else if (val("--rlimit-as-mb")) {
-      rlimit_as_mb = std::strtod(v, nullptr);
-    } else if (std::strcmp(argv[i], "--check-flat-rss") == 0) {
-      check_flat = true;
+    } else if (is("--max-rss-mb")) {
+      max_rss_mb = bench::parse_flag<double>(flag, v);
+    } else if (is("--rlimit-as-mb")) {
+      rlimit_as_mb = bench::parse_flag<double>(flag, v);
     } else {
-      std::fprintf(stderr, "bench_router: unknown flag '%s'\n", argv[i]);
+      std::fprintf(stderr, "bench_router: unknown flag '%s'\n", flag);
       return 2;
     }
   }
@@ -698,10 +664,12 @@ int run_single(int argc, char** argv) {
 int main(int argc, char** argv) {
   if (argc >= 2 && std::strcmp(argv[1], "--single") == 0)
     return run_single(argc, argv);
-  if (argc >= 2 && std::strcmp(argv[1], "--max-rss-mb") == 0 && argc >= 3) {
-    g_max_rss_mb = std::strtod(argv[2], nullptr);
-  } else if (const char* env = std::getenv("TN_BENCH_MAX_RSS_MB")) {
-    g_max_rss_mb = std::strtod(env, nullptr);
+  if (argc == 3 && std::strcmp(argv[1], "--max-rss-mb") == 0) {
+    g_max_rss_mb = bench::parse_flag<double>(argv[1], argv[2]);
+  } else if (argc != 1) {
+    std::fprintf(stderr,
+                 "usage: bench_router [--max-rss-mb MB] | --single ...\n");
+    return 2;
   }
   return run_matrix();
 }

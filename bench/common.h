@@ -3,10 +3,14 @@
 // prints one or more tables via sim::Table; EXPERIMENTS.md documents the
 // paper claim each table validates and the shape expected. The sweep
 // benchmarks (bench_kernels, bench_router) also share the forked-child
-// measurement harness below.
+// measurement harness and the strict flag parser below.
 
+#include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <limits>
 #include <numbers>
 #include <optional>
 #include <string>
@@ -129,6 +133,34 @@ std::optional<Payload> run_in_child(double max_rss_mb, Measure&& measure) {
   }
 #endif
   return measure();
+}
+
+/// Parses the value of a numeric command-line flag of the sweep benchmarks.
+/// The whole of `text` must be a non-negative number: decimal digits that
+/// fit T where T is integral, a finite double otherwise. Anything else
+/// (garbage, a sign, trailing characters, overflow) exits 2 with
+/// "bad value for FLAG", so a typo never runs a benchmark with a zero.
+template <typename T>
+T parse_flag(const char* flag, const char* text) {
+  char* end = nullptr;
+  errno = 0;
+  bool ok = false;
+  T value{};
+  if constexpr (std::is_integral_v<T>) {
+    const unsigned long long v = std::strtoull(text, &end, 10);
+    ok = std::isdigit(static_cast<unsigned char>(text[0])) != 0 &&
+         *end == '\0' && errno == 0 && v <= std::numeric_limits<T>::max();
+    value = static_cast<T>(v);
+  } else {
+    const double v = std::strtod(text, &end);
+    ok = end != text && *end == '\0' && std::isfinite(v) && v >= 0.0;
+    value = v;
+  }
+  if (!ok) {
+    std::fprintf(stderr, "bad value for %s: '%s'\n", flag, text);
+    std::exit(2);
+  }
+  return value;
 }
 
 inline void print_header(const char* experiment, const char* claim) {

@@ -96,6 +96,18 @@ def test_malformed_baseline_also_exit_3(tmp):
     assert "baseline.json" in p.stderr
 
 
+def test_duplicate_key_exit_3(tmp):
+    # A later record with the same key used to replace the earlier one
+    # silently, so one of the two was never compared.
+    base = {"results": [record()]}
+    fresh = {"results": [record(ms=10.0), record(kernel="theta"),
+                         record(ms=99.0)]}
+    p = run_compare(tmp, base, fresh)
+    assert p.returncode == 3, p.stdout + p.stderr
+    assert "results[0] and results[2]" in p.stderr
+    assert "fresh.json" in p.stderr
+
+
 def test_unreadable_file_exit_2(tmp):
     doc = {"results": [record()]}
     bpath = os.path.join(tmp, "baseline.json")
