@@ -285,23 +285,28 @@ TelemetryOverhead measure_telemetry_overhead() {
   return {n, on_ms, off_ms, pct};
 }
 
+/// The default sizes, or TN_BENCH_SWEEP_NS's comma list. Every element
+/// must parse as a flag value would (bench::parse_flag exits 2 otherwise);
+/// a size of 0 is skipped.
 std::vector<std::size_t> sweep_sizes() {
-  std::vector<std::size_t> ns{1000, 10000, 100000, 1000000};
-  if (const char* s = std::getenv("TN_BENCH_SWEEP_NS")) {
-    ns.clear();
-    const char* p = s;
-    while (*p != '\0') {
-      char* end = nullptr;
-      const unsigned long long v = std::strtoull(p, &end, 10);
-      if (end == p) break;
-      if (v > 0) ns.push_back(static_cast<std::size_t>(v));
-      p = *end == ',' ? end + 1 : end;
-    }
+  const char* s = std::getenv("TN_BENCH_SWEEP_NS");
+  if (s == nullptr) return {1000, 10000, 100000, 1000000};
+  std::vector<std::size_t> ns;
+  const std::string list = s;
+  std::size_t begin = 0;
+  for (;;) {
+    const std::size_t comma = list.find(',', begin);
+    const std::string item = list.substr(begin, comma - begin);
+    const auto v = bench::parse_flag<std::size_t>("TN_BENCH_SWEEP_NS",
+                                                  item.c_str());
+    if (v > 0) ns.push_back(v);
+    if (comma == std::string::npos) return ns;
+    begin = comma + 1;
   }
-  return ns;
 }
 
 int run_thread_sweep() {
+  const std::vector<std::size_t> sizes = sweep_sizes();
   std::vector<int> threads{1, 2, 4, tn::hardware_threads()};
   std::sort(threads.begin(), threads.end());
   threads.erase(std::unique(threads.begin(), threads.end()), threads.end());
@@ -336,7 +341,7 @@ int run_thread_sweep() {
   const std::size_t num_kernels = std::size(kernels);
   std::vector<LastRss> last_rss(num_kernels);
   bool all_identical = true;
-  for (const std::size_t n : sweep_sizes()) {
+  for (const std::size_t n : sizes) {
     const topo::Deployment d = deployment(n);
     tn::set_num_threads(1);
     const graph::Graph theta = core::ThetaTopology(d, kTheta).graph();

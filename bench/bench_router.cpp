@@ -47,6 +47,7 @@
 // Environment: TN_BENCH_ROUTER_ROUNDS caps the per-entry base rounds,
 // TN_BENCH_ROUTER_MAX_N caps n, TN_BENCH_ROUTER_ACCEPT_ROUNDS overrides the
 // 10^6-round acceptance entry (the ctest smoke uses tiny values for all).
+// A value that is not a non-negative integer exits 2.
 
 #include <algorithm>
 #include <chrono>
@@ -259,9 +260,11 @@ std::optional<SimOut> time_entry(const graph::Graph& g, const RunConfig& cfg) {
   return r;
 }
 
+/// An environment override parsed like a flag value: anything but a
+/// non-negative integer exits 2 with "bad value for NAME".
 std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
   if (const char* s = std::getenv(name))
-    return std::strtoull(s, nullptr, 10);
+    return bench::parse_flag<std::uint64_t>(name, s);
   return fallback;
 }
 
@@ -637,8 +640,7 @@ int run_single(int argc, char** argv) {
       static_cast<unsigned long long>(r.leftover), r.peak_rss_mb,
       r.warm_rss_mb, static_cast<unsigned long long>(r.checksum));
 
-  if (!telemetry_path.empty() &&
-      !obs::write_telemetry_json(telemetry_path, /*include_timing=*/false)) {
+  if (!telemetry_path.empty() && !obs::write_telemetry_json(telemetry_path)) {
     std::fprintf(stderr, "bench_router: cannot write %s\n",
                  telemetry_path.c_str());
     return 1;

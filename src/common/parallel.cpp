@@ -48,11 +48,10 @@ class Pool {
 
   void run(std::size_t num_chunks, const std::function<void(std::size_t)>& fn) {
     if (num_chunks == 0) return;
-    // parallel.jobs is stable (one per dispatched loop, independent of the
-    // schedule); chunk counts are timing-class because the automatic grain
-    // targets ~8 chunks per thread and thus varies with TN_NUM_THREADS.
+    // One per dispatched loop, independent of the schedule. Chunk counts are
+    // not recorded: the automatic grain targets ~8 chunks per thread, so
+    // they vary with TN_NUM_THREADS.
     TN_OBS_COUNT("parallel.jobs", 1);
-    TN_OBS_COUNT_TIMING("parallel.chunks", num_chunks);
     int nthreads;
     {
       std::lock_guard<std::mutex> lk(mu_);
@@ -62,7 +61,6 @@ class Pool {
     // call from inside a chunk body (no nested pools — inner loops run
     // inline, which keeps the chunk schedule flat and deadlock-free).
     if (nthreads == 1 || num_chunks == 1 || in_run_) {
-      TN_OBS_COUNT_TIMING("parallel.chunks_inline", num_chunks);
       for (std::size_t c = 0; c < num_chunks; ++c) fn(c);
       return;
     }
@@ -92,7 +90,7 @@ class Pool {
       cv_work_.notify_all();
     }
 
-    work(fn, num_chunks, /*is_worker=*/false);
+    work(fn, num_chunks);
 
     std::exception_ptr err;
     {
@@ -122,17 +120,14 @@ class Pool {
   // Marks the thread as inside a chunk body for the whole loop — on workers
   // and caller alike — so nested parallel calls run inline instead of
   // blocking on the (held) dispatch lock.
-  void work(const std::function<void(std::size_t)>& fn, std::size_t chunks,
-            bool is_worker) {
+  void work(const std::function<void(std::size_t)>& fn, std::size_t chunks) {
     struct InRunGuard {
       InRunGuard() { in_run_ = true; }
       ~InRunGuard() { in_run_ = false; }
     } guard;
-    std::size_t executed = 0;
     for (;;) {
       const std::size_t c = job_next_.fetch_add(1, std::memory_order_relaxed);
       if (c >= chunks) break;
-      ++executed;
       try {
         fn(c);
       } catch (...) {
@@ -143,12 +138,6 @@ class Pool {
         }
         job_next_.store(chunks, std::memory_order_relaxed);
       }
-    }
-    // How evenly the claim race spread this job; inherently schedule-
-    // dependent, hence timing-class.
-    if (executed > 0) {
-      TN_OBS_RECORD_TIMING("parallel.chunks_per_thread", executed);
-      if (is_worker) TN_OBS_COUNT_TIMING("parallel.chunks_stolen", executed);
     }
   }
 
@@ -173,7 +162,7 @@ class Pool {
       }
       {
         obs::SpanContextScope span_scope(span);
-        work(*fn, chunks, /*is_worker=*/true);
+        work(*fn, chunks);
       }
       {
         std::lock_guard<std::mutex> lk(mu_);

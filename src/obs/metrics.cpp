@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <memory>
 #include <mutex>
 
@@ -12,17 +11,7 @@ namespace thetanet::obs {
 
 namespace detail {
 
-namespace {
-
-bool recording_from_env() {
-  if (const char* s = std::getenv("TN_TELEMETRY"))
-    if (s[0] == '0' && s[1] == '\0') return false;
-  return true;
-}
-
-}  // namespace
-
-std::atomic<bool> g_recording{recording_from_env()};
+std::atomic<bool> g_recording{true};
 
 Shard& local_shard() {
   thread_local Shard* shard = MetricsRegistry::global().create_shard();
@@ -42,7 +31,6 @@ enum class Kind : std::uint8_t { kCounter, kDistribution };
 struct MetricDesc {
   std::string name;
   Kind kind;
-  Stability stability;
   std::uint32_t slot;  ///< index into the per-kind shard arrays
 };
 
@@ -98,7 +86,7 @@ detail::Shard* MetricsRegistry::create_shard() {
 namespace {
 
 std::uint32_t register_metric(MetricsRegistry::Impl& im, std::string_view name,
-                              Kind kind, Stability s, std::uint32_t& next_slot,
+                              Kind kind, std::uint32_t& next_slot,
                               std::size_t capacity) {
   std::lock_guard<std::mutex> lk(im.mu);
   for (const MetricDesc& m : im.metrics)
@@ -108,24 +96,21 @@ std::uint32_t register_metric(MetricsRegistry::Impl& im, std::string_view name,
       return m.slot;
     }
   TN_ASSERT_MSG(next_slot < capacity, "telemetry metric capacity exhausted");
-  im.metrics.push_back(
-      {std::string(name), kind, s, next_slot});
+  im.metrics.push_back({std::string(name), kind, next_slot});
   return next_slot++;
 }
 
 }  // namespace
 
-std::uint32_t MetricsRegistry::register_counter(std::string_view name,
-                                                Stability s) {
+std::uint32_t MetricsRegistry::register_counter(std::string_view name) {
   Impl& im = impl();
-  return register_metric(im, name, Kind::kCounter, s, im.num_counters,
+  return register_metric(im, name, Kind::kCounter, im.num_counters,
                          detail::kMaxCounters);
 }
 
-std::uint32_t MetricsRegistry::register_distribution(std::string_view name,
-                                                     Stability s) {
+std::uint32_t MetricsRegistry::register_distribution(std::string_view name) {
   Impl& im = impl();
-  return register_metric(im, name, Kind::kDistribution, s, im.num_dists,
+  return register_metric(im, name, Kind::kDistribution, im.num_dists,
                          detail::kMaxDistributions);
 }
 
@@ -151,14 +136,13 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
       std::uint64_t total = 0;
       for (const auto& shard : im.shards)
         total += shard->counters[m.slot].load(std::memory_order_relaxed);
-      out.counters.push_back({m.name, m.stability, total});
+      out.counters.push_back({m.name, total});
       continue;
     }
     // Distribution: merge shards in creation order (all integer folds, so
     // the order is immaterial to the value — it is fixed anyway).
     DistributionSnapshot d;
     d.name = m.name;
-    d.stability = m.stability;
     std::uint64_t min = ~0ull;
     std::uint64_t buckets[detail::kNumBuckets] = {};
     for (const auto& shard : im.shards) {
@@ -198,10 +182,10 @@ void MetricsRegistry::reset() {
   }
 }
 
-Counter::Counter(std::string_view name, Stability s)
-    : id_(MetricsRegistry::global().register_counter(name, s)) {}
+Counter::Counter(std::string_view name)
+    : id_(MetricsRegistry::global().register_counter(name)) {}
 
-Distribution::Distribution(std::string_view name, Stability s)
-    : id_(MetricsRegistry::global().register_distribution(name, s)) {}
+Distribution::Distribution(std::string_view name)
+    : id_(MetricsRegistry::global().register_distribution(name)) {}
 
 }  // namespace thetanet::obs

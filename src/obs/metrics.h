@@ -9,24 +9,25 @@
 // How determinism is achieved
 // ---------------------------
 //   * Every metric value is an unsigned 64-bit integer (counts, not wall
-//     time — timing lives in obs::Span and is excluded from deterministic
-//     output). Integer addition commutes, so the merge over threads cannot
+//     time — wall time lives in obs::Span and never reaches the dump or the
+//     stream). Integer addition commutes, so the merge over threads cannot
 //     depend on scheduling.
 //   * Each thread owns a private shard (plain relaxed atomics, written only
 //     by the owner — no contention, no RMW). Shards are registered in
 //     creation order and merged in that order at snapshot time.
-//   * Metrics declare a stability class at registration. kStable metrics
-//     promise thread-count-invariant values (per-item counts accumulated
-//     under the parallel layer's fixed chunking); kTiming metrics (chunks
-//     per thread, pool bookkeeping) are excluded from deterministic dumps.
+//   * Every registered metric promises a thread-count-invariant value
+//     (per-item counts accumulated under the parallel layer's fixed
+//     chunking), so every one of them is in the dump and the stream.
+//     Scheduling-dependent quantities (chunks per thread, steals) are not
+//     recorded at all.
 //
 // Distributions use fixed power-of-two buckets (bucket = bit_width(value)),
 // exposing count/min/max/sum plus p50/p99 estimated as the upper bound of
 // the bucket holding the quantile rank — all integers, all deterministic.
 //
 // Instrumentation sites use the TN_OBS_* macros below; with recording off
-// (obs::set_recording(false) or TN_TELEMETRY=0) every one of them returns
-// before touching a shard.
+// (obs::set_recording(false)) every one of them returns before touching a
+// shard.
 
 #include <array>
 #include <atomic>
@@ -37,12 +38,6 @@
 #include <vector>
 
 namespace thetanet::obs {
-
-/// Stability class declared at registration and carried into snapshots.
-enum class Stability : std::uint8_t {
-  kStable,  ///< thread-count invariant by contract; in deterministic dumps
-  kTiming,  ///< scheduling-dependent (pool bookkeeping); timing dumps only
-};
 
 namespace detail {
 
@@ -93,8 +88,8 @@ struct Shard {
 /// its final values behind for the merge).
 Shard& local_shard();
 
-/// Global recording switch (initialized from TN_TELEMETRY, "0" disables;
-/// togglable at runtime for overhead measurement). Checked on every record.
+/// Global recording switch (on at start; togglable at runtime for overhead
+/// measurement). Checked on every record.
 extern std::atomic<bool> g_recording;
 inline bool recording() {
   return g_recording.load(std::memory_order_relaxed);
@@ -112,7 +107,7 @@ void set_recording(bool on);
 /// see TN_OBS_COUNT.
 class Counter {
  public:
-  explicit Counter(std::string_view name, Stability s = Stability::kStable);
+  explicit Counter(std::string_view name);
   void add(std::uint64_t delta = 1) const {
     if (!detail::recording()) return;
     detail::local_shard().add(id_, delta);
@@ -125,8 +120,7 @@ class Counter {
 /// A registered value distribution (u64 samples into power-of-two buckets).
 class Distribution {
  public:
-  explicit Distribution(std::string_view name,
-                        Stability s = Stability::kStable);
+  explicit Distribution(std::string_view name);
   void record(std::uint64_t value) const {
     if (!detail::recording()) return;
     detail::local_shard().record(id_, value);
@@ -141,13 +135,11 @@ class Distribution {
 
 struct CounterSnapshot {
   std::string name;
-  Stability stability = Stability::kStable;
   std::uint64_t value = 0;
 };
 
 struct DistributionSnapshot {
   std::string name;
-  Stability stability = Stability::kStable;
   std::uint64_t count = 0;
   std::uint64_t min = 0;  ///< 0 when count == 0
   std::uint64_t max = 0;
@@ -166,10 +158,9 @@ class MetricsRegistry {
   static MetricsRegistry& global();
 
   /// Register (or look up) a metric. Re-registering an existing name
-  /// returns the same id; the stability class of the first registration
-  /// wins. Asserts when the shard capacity is exhausted.
-  std::uint32_t register_counter(std::string_view name, Stability s);
-  std::uint32_t register_distribution(std::string_view name, Stability s);
+  /// returns the same id. Asserts when the shard capacity is exhausted.
+  std::uint32_t register_counter(std::string_view name);
+  std::uint32_t register_distribution(std::string_view name);
 
   /// Merged value of one counter (0 when the name was never registered).
   std::uint64_t counter_value(std::string_view name) const;
@@ -196,34 +187,17 @@ class MetricsRegistry {
 // ---------------------------------------------------------------------------
 // Instrumentation macros.
 
-/// Add `delta` to the stable counter `name` (a string literal).
+/// Add `delta` to the counter `name` (a string literal).
 #define TN_OBS_COUNT(name, delta)                                 \
   do {                                                            \
     static const ::thetanet::obs::Counter tn_obs_counter_{name};  \
     tn_obs_counter_.add(static_cast<std::uint64_t>(delta));       \
   } while (0)
 
-/// Add `delta` to the timing-stability counter `name` (excluded from
-/// deterministic dumps — values may depend on scheduling).
-#define TN_OBS_COUNT_TIMING(name, delta)                          \
-  do {                                                            \
-    static const ::thetanet::obs::Counter tn_obs_counter_{        \
-        name, ::thetanet::obs::Stability::kTiming};               \
-    tn_obs_counter_.add(static_cast<std::uint64_t>(delta));       \
-  } while (0)
-
-/// Record one sample into the stable distribution `name`.
+/// Record one sample into the distribution `name`.
 #define TN_OBS_RECORD(name, value)                                \
   do {                                                            \
     static const ::thetanet::obs::Distribution tn_obs_dist_{name}; \
-    tn_obs_dist_.record(static_cast<std::uint64_t>(value));       \
-  } while (0)
-
-/// Record one sample into a timing-stability distribution.
-#define TN_OBS_RECORD_TIMING(name, value)                         \
-  do {                                                            \
-    static const ::thetanet::obs::Distribution tn_obs_dist_{      \
-        name, ::thetanet::obs::Stability::kTiming};               \
     tn_obs_dist_.record(static_cast<std::uint64_t>(value));       \
   } while (0)
 

@@ -34,12 +34,13 @@ class SpanNode;  // opaque outside span.cpp
 struct SpanSnapshot {
   std::string name;
   std::uint64_t count = 0;    ///< times a Span opened this node
-  std::uint64_t wall_ns = 0;  ///< total closed-span wall time (timing only)
+  std::uint64_t wall_ns = 0;  ///< total closed-span wall time
   std::vector<SpanSnapshot> children;  ///< sorted by name
 };
 
 /// Roots of the span tree (sorted by name). Counts and structure are
-/// deterministic; wall_ns is not and is dropped by deterministic sinks.
+/// deterministic; wall_ns is not, and no sink writes it (perfbench reads it
+/// here).
 std::vector<SpanSnapshot> span_snapshot();
 
 /// Delete the whole span tree. Only call while no Span is alive anywhere
@@ -67,7 +68,7 @@ class SpanContextScope {
 /// RAII span: opening finds/creates the child node of the current span with
 /// this name, bumps its count, and makes it current; closing adds the
 /// elapsed wall time and restores the parent. When recording is disabled
-/// (obs::set_recording(false) or TN_TELEMETRY=0) construction is a no-op.
+/// (obs::set_recording(false)) construction is a no-op.
 class Span {
  public:
   explicit Span(const char* name);

@@ -65,7 +65,6 @@ void close_section(std::string& out, bool any, char bracket, bool last) {
 std::string render_stream_frame(const TelemetrySnapshot& prev,
                                 const TelemetrySnapshot& cur,
                                 std::uint64_t seq) {
-  const auto stable = [](Stability s) { return s == Stability::kStable; };
   std::string body;
   body += "{\n";
 
@@ -76,7 +75,6 @@ std::string render_stream_frame(const TelemetrySnapshot& prev,
   {
     std::size_t j = 0;
     for (const CounterSnapshot& c : cur.metrics.counters) {
-      if (!stable(c.stability)) continue;
       while (j < prev.metrics.counters.size() &&
              prev.metrics.counters[j].name < c.name)
         ++j;
@@ -99,7 +97,6 @@ std::string render_stream_frame(const TelemetrySnapshot& prev,
   {
     std::size_t j = 0;
     for (const DistributionSnapshot& d : cur.metrics.distributions) {
-      if (!stable(d.stability)) continue;
       while (j < prev.metrics.distributions.size() &&
              prev.metrics.distributions[j].name < d.name)
         ++j;
@@ -140,7 +137,6 @@ std::string render_stream_frame(const TelemetrySnapshot& prev,
   {
     std::size_t j = 0;
     for (const SeriesSnapshot& s : cur.series) {
-      if (!stable(s.stability)) continue;
       while (j < prev.series.size() && prev.series[j].name < s.name) ++j;
       const SeriesSnapshot* before =
           j < prev.series.size() && prev.series[j].name == s.name
@@ -209,8 +205,7 @@ std::string render_stream_frame(const TelemetrySnapshot& prev,
     open_section(body, "spans", '[');
     for (std::size_t i = 0; i < cur.spans.size(); ++i) {
       body += i == 0 ? "\n" : ",\n";
-      detail::append_span_json(body, cur.spans[i], /*include_timing=*/false,
-                               2);
+      detail::append_span_json(body, cur.spans[i], 2);
     }
     close_section(body, !cur.spans.empty(), ']', true);
   }
@@ -310,16 +305,15 @@ bool StreamFolder::fold(const ParsedFrame& frame, std::string* error) {
 TelemetrySnapshot StreamFolder::snapshot() const {
   TelemetrySnapshot snap;
   for (const auto& [name, value] : counters_)
-    snap.metrics.counters.push_back({name, Stability::kStable, value});
+    snap.metrics.counters.push_back({name, value});
   for (const auto& [name, d] : dists_)
-    snap.metrics.distributions.push_back({name, Stability::kStable, d.count,
-                                          d.min, d.max, d.sum, d.p50, d.p99});
+    snap.metrics.distributions.push_back(
+        {name, d.count, d.min, d.max, d.sum, d.p50, d.p99});
   for (const auto& [name, st] : series_) {
     SeriesSnapshot s;
     s.name = name;
     s.agg = st.agg;
     s.kind = st.kind;
-    s.stability = Stability::kStable;
     s.stride = st.stride;
     s.rounds = st.rounds;
     s.upoints = st.upoints;
@@ -331,7 +325,7 @@ TelemetrySnapshot StreamFolder::snapshot() const {
 }
 
 std::string StreamFolder::to_dump_json() const {
-  return to_json(snapshot(), /*include_timing=*/false);
+  return to_json(snapshot());
 }
 
 }  // namespace thetanet::obs

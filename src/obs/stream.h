@@ -29,12 +29,10 @@
 //     stride/rounds advanced or when it registered empty.
 //   * "spans": the full deterministic span forest (name/count/children),
 //     present only in frames where it changed.
-//   Only kStable metrics/series are streamed — same rule as the
-//   deterministic dump.
 //
 // Composability contract: folding frames 0..k yields byte-for-byte the
-// to_json(capture, /*include_timing=*/false) document of the state frame k
-// was captured from, for any TN_NUM_THREADS. Frames themselves are
+// to_json(capture) document of the state frame k was captured from, for
+// any TN_NUM_THREADS. Frames themselves are
 // bit-identical across thread counts for a deterministic workload, because
 // they are pure functions of consecutive merged snapshots.
 

@@ -257,11 +257,38 @@ bool shape_fail(std::string* error, const std::string& why) {
   return false;
 }
 
-std::uint64_t as_u64(const JsonValue& v) {
-  if (!v.is_number()) return 0;
-  const JsonNumber& n = v.num();
-  if (n.exact_u64) return n.u;
-  return n.d >= 0.0 ? static_cast<std::uint64_t>(n.d) : 0;
+/// Where a count belongs the sinks write nothing but a plain non-negative
+/// integer, so a sign, a fraction, an exponent, a value past 2^64 - 1 or a
+/// non-number is rejected rather than rounded or clamped.
+bool exact_u64(const JsonValue& v, std::uint64_t& dst) {
+  if (!v.is_number() || !v.num().exact_u64) return false;
+  dst = v.num().u;
+  return true;
+}
+
+bool not_u64(std::string* error, const std::string& what) {
+  return shape_fail(error, what + " is not a non-negative integer");
+}
+
+/// exact_u64 on o[key] when the key is present (a missing key keeps `dst`);
+/// the diagnostic names the section, the entry and the key.
+bool u64_field(const JsonObject& o, const char* key, std::uint64_t& dst,
+               const char* section, const std::string& name,
+               std::string* error) {
+  const auto it = o.find(key);
+  if (it == o.end() || exact_u64(it->second, dst)) return true;
+  return not_u64(error, std::string(section) + " '" + name + "' field '" +
+                            key + "'");
+}
+
+bool extract_distribution(const JsonObject& o, const std::string& name,
+                          ParsedDistribution& d, std::string* error) {
+  return u64_field(o, "count", d.count, "distribution", name, error) &&
+         u64_field(o, "min", d.min, "distribution", name, error) &&
+         u64_field(o, "max", d.max, "distribution", name, error) &&
+         u64_field(o, "sum", d.sum, "distribution", name, error) &&
+         u64_field(o, "p50", d.p50, "distribution", name, error) &&
+         u64_field(o, "p99", d.p99, "distribution", name, error);
 }
 
 bool extract_spans(const JsonArray& arr, std::vector<ParsedSpan>& out,
@@ -272,8 +299,8 @@ bool extract_spans(const JsonArray& arr, std::vector<ParsedSpan>& out,
     ParsedSpan span;
     if (const auto it = o.find("name"); it != o.end() && it->second.is_string())
       span.name = it->second.string();
-    if (const auto it = o.find("count"); it != o.end())
-      span.count = as_u64(it->second);
+    if (!u64_field(o, "count", span.count, "span", span.name, error))
+      return false;
     if (const auto it = o.find("children");
         it != o.end() && it->second.is_array()) {
       if (!extract_spans(it->second.array(), span.children, error))
@@ -300,9 +327,8 @@ bool extract(const JsonValue& root, ParsedTelemetry& out, std::string* error) {
   if (counters_it == doc.end() || !counters_it->second.is_object())
     return shape_fail(error, "missing 'counters' object");
   for (const auto& [name, v] : counters_it->second.object()) {
-    if (!v.is_number())
-      return shape_fail(error, "counter '" + name + "' is not a number");
-    out.counters[name] = as_u64(v);
+    if (!exact_u64(v, out.counters[name]))
+      return not_u64(error, "counter '" + name + "'");
   }
 
   const auto dists_it = doc.find("distributions");
@@ -311,19 +337,9 @@ bool extract(const JsonValue& root, ParsedTelemetry& out, std::string* error) {
   for (const auto& [name, v] : dists_it->second.object()) {
     if (!v.is_object())
       return shape_fail(error, "distribution '" + name + "' is not an object");
-    const JsonObject& o = v.object();
-    ParsedDistribution d;
-    const auto field = [&](const char* key, std::uint64_t& dst) {
-      const auto it = o.find(key);
-      if (it != o.end()) dst = as_u64(it->second);
-    };
-    field("count", d.count);
-    field("min", d.min);
-    field("max", d.max);
-    field("sum", d.sum);
-    field("p50", d.p50);
-    field("p99", d.p99);
-    out.distributions[name] = d;
+    if (!extract_distribution(v.object(), name, out.distributions[name],
+                              error))
+      return false;
   }
 
   const auto series_it = doc.find("series");
@@ -338,10 +354,9 @@ bool extract(const JsonValue& root, ParsedTelemetry& out, std::string* error) {
       s.agg = f->second.string();
     if (const auto f = o.find("kind"); f != o.end() && f->second.is_string())
       s.kind = f->second.string();
-    if (const auto f = o.find("stride"); f != o.end())
-      s.stride = as_u64(f->second);
-    if (const auto f = o.find("rounds"); f != o.end())
-      s.rounds = as_u64(f->second);
+    if (!u64_field(o, "stride", s.stride, "series", name, error) ||
+        !u64_field(o, "rounds", s.rounds, "series", name, error))
+      return false;
     const auto pts = o.find("points");
     if (pts == o.end() || !pts->second.is_array())
       return shape_fail(error, "series '" + name + "' has no points array");
@@ -406,14 +421,14 @@ bool extract_frame(const JsonValue& root, ParsedFrame& out,
   const auto frame_it = doc.find("frame");
   if (frame_it == doc.end() || !frame_it->second.is_number())
     return shape_fail(error, "frame missing 'frame' number");
-  out.frame = as_u64(frame_it->second);
+  if (!exact_u64(frame_it->second, out.frame))
+    return not_u64(error, "frame field 'frame'");
 
   if (const auto it = doc.find("counters");
       it != doc.end() && it->second.is_object()) {
     for (const auto& [name, v] : it->second.object()) {
-      if (!v.is_number())
-        return shape_fail(error, "counter delta '" + name + "' not a number");
-      out.counters[name] = as_u64(v);
+      if (!exact_u64(v, out.counters[name]))
+        return not_u64(error, "counter delta '" + name + "'");
     }
   }
 
@@ -422,19 +437,9 @@ bool extract_frame(const JsonValue& root, ParsedFrame& out,
     for (const auto& [name, v] : it->second.object()) {
       if (!v.is_object())
         return shape_fail(error, "distribution '" + name + "' not an object");
-      const JsonObject& o = v.object();
-      ParsedDistribution d;
-      const auto field = [&](const char* key, std::uint64_t& dst) {
-        const auto f = o.find(key);
-        if (f != o.end()) dst = as_u64(f->second);
-      };
-      field("count", d.count);
-      field("min", d.min);
-      field("max", d.max);
-      field("sum", d.sum);
-      field("p50", d.p50);
-      field("p99", d.p99);
-      out.distributions[name] = d;
+      if (!extract_distribution(v.object(), name, out.distributions[name],
+                                error))
+        return false;
     }
   }
 
@@ -449,10 +454,9 @@ bool extract_frame(const JsonValue& root, ParsedFrame& out,
         s.agg = f->second.string();
       if (const auto f = o.find("kind"); f != o.end() && f->second.is_string())
         s.kind = f->second.string();
-      if (const auto f = o.find("stride"); f != o.end())
-        s.stride = as_u64(f->second);
-      if (const auto f = o.find("rounds"); f != o.end())
-        s.rounds = as_u64(f->second);
+      if (!u64_field(o, "stride", s.stride, "series", name, error) ||
+          !u64_field(o, "rounds", s.rounds, "series", name, error))
+        return false;
       const auto pts = o.find("points");
       if (pts == o.end())
         return shape_fail(error, "series '" + name + "' has no points");
@@ -478,10 +482,10 @@ bool extract_frame(const JsonValue& root, ParsedFrame& out,
             return shape_fail(
                 error, "series '" + name + "' has a bad window key '" + idx +
                            "'");
-          if (!p.is_number())
-            return shape_fail(error,
-                              "series '" + name + "' has a non-numeric point");
-          s.uwindows.emplace_back(w, as_u64(p));
+          std::uint64_t value = 0;
+          if (!exact_u64(p, value))
+            return not_u64(error, "series '" + name + "' window " + idx);
+          s.uwindows.emplace_back(w, value);
         }
         std::sort(s.uwindows.begin(), s.uwindows.end());
       }

@@ -16,7 +16,6 @@ struct SeriesDesc {
   std::string name;
   SeriesKind kind;
   SeriesAgg agg;
-  Stability stability;
 };
 
 template <typename T>
@@ -100,8 +99,7 @@ SeriesRegistry& SeriesRegistry::global() {
 }
 
 std::uint32_t SeriesRegistry::register_series(std::string_view name,
-                                              SeriesKind kind, SeriesAgg agg,
-                                              Stability s) {
+                                              SeriesKind kind, SeriesAgg agg) {
   Impl& im = impl();
   std::lock_guard<std::mutex> lk(im.mu);
   for (std::uint32_t id = 0; id < im.series.size(); ++id) {
@@ -111,7 +109,7 @@ std::uint32_t SeriesRegistry::register_series(std::string_view name,
                   "series re-registered with a different kind or fold");
     return id;
   }
-  im.series.push_back({std::string(name), kind, agg, s});
+  im.series.push_back({std::string(name), kind, agg});
   return static_cast<std::uint32_t>(im.series.size() - 1);
 }
 
@@ -224,7 +222,6 @@ std::vector<SeriesSnapshot> SeriesRegistry::snapshot() const {
     s.name = d.name;
     s.agg = d.agg;
     s.kind = d.kind;
-    s.stability = d.stability;
     if (d.kind == SeriesKind::kU64) {
       merge_series(im.shards, id, d.agg, im.cap, &SeriesShard::ubufs,
                    s.stride, s.rounds, s.upoints);

@@ -57,7 +57,6 @@ struct SeriesSnapshot {
   std::string name;
   SeriesAgg agg = SeriesAgg::kSum;
   SeriesKind kind = SeriesKind::kU64;
-  Stability stability = Stability::kStable;
   std::uint64_t stride = 1;
   std::uint64_t rounds = 0;
   std::vector<std::uint64_t> upoints;
@@ -72,8 +71,7 @@ class SeriesRegistry {
   /// returns the same id; kind/agg of the first registration win (a
   /// mismatch asserts — one name, one meaning).
   std::uint32_t register_series(std::string_view name, SeriesKind kind,
-                                SeriesAgg agg,
-                                Stability s = Stability::kStable);
+                                SeriesAgg agg);
 
   /// Fold `value` into `round` of the series on the calling thread's shard.
   void record_u64(std::uint32_t id, std::uint64_t round, std::uint64_t value);
@@ -85,8 +83,8 @@ class SeriesRegistry {
   std::vector<SeriesSnapshot> snapshot() const;
 
   /// Retained points per series before the stride doubles. Applies to
-  /// samples recorded after the call; set it before the run (the golden
-  /// fixtures and bench --telemetry-series do). Minimum 2.
+  /// samples recorded after the call; set it before the run (the stream
+  /// and series tests shrink it to force stride growth). Minimum 2.
   void set_capacity(std::size_t points);
   std::size_t capacity() const;
 
@@ -104,9 +102,8 @@ class SeriesRegistry {
 /// analogue of obs::Counter. Recording honours the global recording switch.
 class Series {
  public:
-  Series(std::string_view name, SeriesKind kind, SeriesAgg agg,
-         Stability s = Stability::kStable)
-      : id_(SeriesRegistry::global().register_series(name, kind, agg, s)) {}
+  Series(std::string_view name, SeriesKind kind, SeriesAgg agg)
+      : id_(SeriesRegistry::global().register_series(name, kind, agg)) {}
 
   void add(std::uint64_t round, std::uint64_t delta) const {
     if (!detail::recording()) return;

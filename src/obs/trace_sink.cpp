@@ -52,15 +52,14 @@ void append_indent(std::string& out, int depth) {
   out.append(static_cast<std::size_t>(depth) * 2, ' ');
 }
 
-void append_span_json(std::string& out, const SpanSnapshot& s,
-                      bool include_timing, int depth) {
+void append_span_json(std::string& out, const SpanSnapshot& s, int depth) {
   append_indent(out, depth);
   out += "{\n";
   append_indent(out, depth + 1);
   out += "\"children\": [";
   for (std::size_t i = 0; i < s.children.size(); ++i) {
     out += i == 0 ? "\n" : ",\n";
-    append_span_json(out, s.children[i], include_timing, depth + 2);
+    append_span_json(out, s.children[i], depth + 2);
   }
   if (!s.children.empty()) {
     out += '\n';
@@ -72,11 +71,6 @@ void append_span_json(std::string& out, const SpanSnapshot& s,
   append_indent(out, depth + 1);
   out += "\"name\": ";
   append_escaped(out, s.name);
-  if (include_timing) {
-    out += ",\n";
-    append_indent(out, depth + 1);
-    out += "\"wall_ns\": " + std::to_string(s.wall_ns);
-  }
   out += '\n';
   append_indent(out, depth);
   out += '}';
@@ -96,10 +90,7 @@ TelemetrySnapshot capture_telemetry() {
   return snap;
 }
 
-std::string to_json(const TelemetrySnapshot& snap, bool include_timing) {
-  const auto keep = [&](Stability s) {
-    return include_timing || s == Stability::kStable;
-  };
+std::string to_json(const TelemetrySnapshot& snap) {
   std::string out;
   out += "{\n";
 
@@ -108,7 +99,6 @@ std::string to_json(const TelemetrySnapshot& snap, bool include_timing) {
   out += "  \"counters\": {";
   bool first = true;
   for (const CounterSnapshot& c : snap.metrics.counters) {
-    if (!keep(c.stability)) continue;
     out += first ? "\n" : ",\n";
     first = false;
     out += "    ";
@@ -121,7 +111,6 @@ std::string to_json(const TelemetrySnapshot& snap, bool include_timing) {
   out += "  \"distributions\": {";
   first = true;
   for (const DistributionSnapshot& d : snap.metrics.distributions) {
-    if (!keep(d.stability)) continue;
     out += first ? "\n" : ",\n";
     first = false;
     out += "    ";
@@ -143,7 +132,6 @@ std::string to_json(const TelemetrySnapshot& snap, bool include_timing) {
   out += "  \"series\": {";
   first = true;
   for (const SeriesSnapshot& s : snap.series) {
-    if (!keep(s.stability)) continue;
     out += first ? "\n" : ",\n";
     first = false;
     out += "    ";
@@ -173,7 +161,7 @@ std::string to_json(const TelemetrySnapshot& snap, bool include_timing) {
   out += "  \"spans\": [";
   for (std::size_t i = 0; i < snap.spans.size(); ++i) {
     out += i == 0 ? "\n" : ",\n";
-    append_span_json(out, snap.spans[i], include_timing, 2);
+    append_span_json(out, snap.spans[i], 2);
   }
   if (!snap.spans.empty()) out += "\n  ";
   out += "]\n";
@@ -182,10 +170,10 @@ std::string to_json(const TelemetrySnapshot& snap, bool include_timing) {
   return out;
 }
 
-bool write_telemetry_json(const std::string& path, bool include_timing) {
+bool write_telemetry_json(const std::string& path) {
   std::ofstream f(path, std::ios::binary | std::ios::trunc);
   if (!f) return false;
-  const std::string doc = to_json(capture_telemetry(), include_timing);
+  const std::string doc = to_json(capture_telemetry());
   f.write(doc.data(), static_cast<std::streamsize>(doc.size()));
   return static_cast<bool>(f);
 }

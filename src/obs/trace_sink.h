@@ -6,13 +6,11 @@
 //   * all values are unsigned integers or strings, except the "points"
 //     arrays of f64 series, which are shortest-round-trip decimal floats
 //     (std::to_chars) — still bit-stable for identical doubles,
-//   * by default (include_timing = false) the document contains only
-//     deterministic data: kStable metrics/series and span
-//     {name, count, children}. Two runs of the same deterministic workload
-//     — at any TN_NUM_THREADS — serialize byte-identically, so dumps can
-//     be compared with cmp(1).
-//   * include_timing = true adds kTiming metrics and per-span "wall_ns";
-//     such dumps are for humans and profiling, never for diff tests.
+//   * the document contains only deterministic data: every metric and
+//     series, and span {name, count, children} (span wall time is never
+//     written). Two runs of the same deterministic workload — at any
+//     TN_NUM_THREADS — serialize byte-identically, so dumps can be compared
+//     with cmp(1).
 //
 // "series" holds the per-round time series from obs/timeseries.h. The
 // reader (obs/telemetry_reader.h) and tools/telemetry_diff.py accept this
@@ -44,16 +42,15 @@ namespace detail {
 // byte-compared against a dump.
 void append_f64(std::string& out, double v);  ///< shortest round-trip decimal
 void append_escaped(std::string& out, const std::string& s);
-void append_span_json(std::string& out, const SpanSnapshot& s,
-                      bool include_timing, int depth);
+void append_span_json(std::string& out, const SpanSnapshot& s, int depth);
 }  // namespace detail
 
 /// Render the snapshot as the schema-versioned JSON document described
 /// above, terminated by a single newline.
-std::string to_json(const TelemetrySnapshot& snap, bool include_timing = false);
+std::string to_json(const TelemetrySnapshot& snap);
 
 /// capture_telemetry() + to_json() + write to `path` (overwrites). Returns
 /// false (and writes nothing else) when the file cannot be opened.
-bool write_telemetry_json(const std::string& path, bool include_timing = false);
+bool write_telemetry_json(const std::string& path);
 
 }  // namespace thetanet::obs

@@ -127,7 +127,7 @@ SoakResult run_soak(const SoakSpec& spec, std::ostream& frames_out) {
   // The last frame was captured after the final round, with nothing
   // recorded since — so the one-shot dump of the same state is exactly the
   // fold of the stream.
-  out.final_dump = obs::to_json(streamer.last_snapshot(), false);
+  out.final_dump = obs::to_json(streamer.last_snapshot());
   if (spec.fold_check) {
     std::string err;
     const auto frames = obs::parse_telemetry_stream(stream_copy, &err);

@@ -5,9 +5,9 @@
 //
 // Determinism contract: the frame stream written to `frames_out` is a pure
 // function of the spec — byte-identical across TN_NUM_THREADS (the
-// soak_determinism ctest pins {1,2,4}) — because it only carries merged
-// kStable telemetry. Watchdog inputs (RSS, wall time) stay out of the
-// stream by construction.
+// soak_determinism ctest pins {1,2,4}) — because it only carries merged,
+// thread-count-invariant telemetry. Watchdog inputs (RSS, wall time) stay
+// out of the stream by construction.
 //
 // Replica shards: `shards` > 1 steps that many same-seed copies of the
 // whole router+injector stack in lockstep. Replicas run with telemetry

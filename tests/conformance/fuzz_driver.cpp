@@ -504,11 +504,10 @@ int main(int argc, char** argv) {
     }
   }
   if (!o.telemetry_out.empty()) {
-    // Deterministic dump: stable metrics + span structure/counts only, so
-    // the file is byte-identical for any TN_NUM_THREADS on a fixed command
-    // line (the telemetry_determinism ctest relies on this).
-    if (!thetanet::obs::write_telemetry_json(o.telemetry_out,
-                                             /*include_timing=*/false)) {
+    // Deterministic dump: metrics + span structure/counts only, so the file
+    // is byte-identical for any TN_NUM_THREADS on a fixed command line (the
+    // telemetry_determinism ctest relies on this).
+    if (!thetanet::obs::write_telemetry_json(o.telemetry_out)) {
       std::cerr << "failed to write " << o.telemetry_out << "\n";
       return 2;
     }

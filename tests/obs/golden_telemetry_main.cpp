@@ -1,16 +1,16 @@
 // Golden-telemetry fixture driver (see tests/CMakeLists.txt): runs a fixed-
 // seed workload — a parallel theta build + interference kernels, then a
 // (T, gamma)-balancing router episode — and writes the deterministic
-// telemetry dump and the deterministic Chrome trace. CTest runs this under
-// TN_NUM_THREADS in {1, 2, 4} plus a same-seed rerun and byte-compares every
-// output against the committed golden in tests/obs/golden/, so any change to
-// the dump format, the metric catalogue, or the merge algebra shows up as a
+// telemetry dump. CTest runs this under TN_NUM_THREADS in {1, 2, 4},
+// byte-compares each dump against the committed golden in tests/obs/golden/
+// and a same-seed rerun against the first run, so any change to the dump
+// format, the metric catalogue, or the merge algebra shows up as a
 // reviewable golden diff.
 //
 // Exits non-zero if the run itself violates the headline series contract:
 // max over the router.peak_buffer series must equal RunMetrics::peak_buffer.
 //
-// usage: golden_telemetry_main --out DUMP.json [--trace TRACE.json]
+// usage: golden_telemetry_main --out DUMP.json
 
 #include <cstdio>
 #include <cstring>
@@ -24,7 +24,6 @@
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "obs/timeseries.h"
-#include "obs/trace_event.h"
 #include "obs/trace_sink.h"
 #include "sim/scenarios.h"
 #include "topology/distributions.h"
@@ -33,24 +32,11 @@
 int main(int argc, char** argv) {
   using namespace thetanet;
 
-  std::string out_path;
-  std::string trace_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
-      trace_path = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: golden_telemetry_main --out DUMP.json "
-                   "[--trace TRACE.json]\n");
-      return 2;
-    }
-  }
-  if (out_path.empty()) {
-    std::fprintf(stderr, "golden_telemetry_main: --out is required\n");
+  if (argc != 3 || std::strcmp(argv[1], "--out") != 0) {
+    std::fprintf(stderr, "usage: golden_telemetry_main --out DUMP.json\n");
     return 2;
   }
+  const std::string out_path = argv[2];
 
   obs::set_recording(true);
   obs::MetricsRegistry::global().reset();
@@ -111,10 +97,6 @@ int main(int argc, char** argv) {
 
   if (!obs::write_telemetry_json(out_path)) {
     std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  if (!trace_path.empty() && !obs::write_trace_event_json(trace_path)) {
-    std::fprintf(stderr, "cannot write %s\n", trace_path.c_str());
     return 1;
   }
   return 0;

@@ -145,15 +145,6 @@ TEST_F(MetricsTest, SnapshotIsSortedByName) {
       [](const auto& x, const auto& y) { return x.name < y.name; }));
 }
 
-TEST_F(MetricsTest, StabilityClassIsCarriedIntoSnapshots) {
-  const Counter t("test.timing_counter", Stability::kTiming);
-  t.add(1);
-  const CounterSnapshot* cs = find_counter(
-      MetricsRegistry::global().snapshot(), "test.timing_counter");
-  ASSERT_NE(cs, nullptr);
-  EXPECT_EQ(cs->stability, Stability::kTiming);
-}
-
 TEST_F(MetricsTest, CrossThreadCountsMergeExactly) {
   const Counter c("test.cross_thread");
   const Distribution d("test.cross_thread_dist");

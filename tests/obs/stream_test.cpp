@@ -56,10 +56,8 @@ TEST_F(StreamTest, FoldOfFramesByteEqualsOneShotDump) {
   SeriesRegistry::global().set_capacity(4);  // force stride growth mid-run
   auto& metrics = MetricsRegistry::global();
   auto& series = SeriesRegistry::global();
-  const std::uint32_t c1 = metrics.register_counter("st.alpha",
-                                                    Stability::kStable);
-  const std::uint32_t d1 =
-      metrics.register_distribution("st.dist", Stability::kStable);
+  const std::uint32_t c1 = metrics.register_counter("st.alpha");
+  const std::uint32_t d1 = metrics.register_distribution("st.dist");
   const std::uint32_t s_sum =
       series.register_series("st.sum", SeriesKind::kU64, SeriesAgg::kSum);
   const std::uint32_t s_max =
@@ -87,11 +85,11 @@ TEST_F(StreamTest, FoldOfFramesByteEqualsOneShotDump) {
     }
   }
   // A counter registered late must appear in the next frame even at zero.
-  metrics.register_counter("st.late_zero", Stability::kStable);
+  metrics.register_counter("st.late_zero");
   stream += streamer.next_frame();
 
   const std::string folded = fold_stream(stream);
-  const std::string dump = to_json(capture_telemetry(), false);
+  const std::string dump = to_json(capture_telemetry());
   EXPECT_EQ(folded, dump);
   EXPECT_NE(dump.find("\"st.late_zero\": 0"), std::string::npos);
 }
@@ -155,7 +153,7 @@ TEST_F(StreamTest, FolderRewindowsAcrossStrideGrowth) {
   stream += streamer.next_frame();  // stride 1
   for (std::uint64_t r = 3; r < 16; ++r) series.record_u64(id, r, r + 10);
   stream += streamer.next_frame();  // stride grew to 4
-  EXPECT_EQ(fold_stream(stream), to_json(capture_telemetry(), false));
+  EXPECT_EQ(fold_stream(stream), to_json(capture_telemetry()));
 }
 
 TEST_F(StreamTest, FolderRejectsSequenceGap) {
@@ -198,7 +196,7 @@ TEST_F(StreamTest, F64SeriesFoldBitExactly) {
     series.record_f64(id, r, 1.0 / static_cast<double>(r + 3));
     stream += streamer.next_frame();
   }
-  EXPECT_EQ(fold_stream(stream), to_json(capture_telemetry(), false));
+  EXPECT_EQ(fold_stream(stream), to_json(capture_telemetry()));
 }
 
 }  // namespace

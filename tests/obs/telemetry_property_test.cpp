@@ -1,7 +1,7 @@
-// Property tests for the telemetry wiring (ISSUE satellite 2): conservation
-// identities between instrumented counters and the ground-truth RunMetrics /
-// grid results they shadow, plus the cross-thread-count byte-identity of the
-// deterministic JSON dump on a real workload.
+// Property tests for the telemetry wiring: conservation identities between
+// instrumented counters and the ground-truth RunMetrics / grid results they
+// shadow, the cross-thread-count byte-identity of the deterministic JSON
+// dump on a real workload, and that the dump carries every recorded metric.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +16,7 @@
 #include "interference/model.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
+#include "obs/telemetry_reader.h"
 #include "obs/timeseries.h"
 #include "obs/trace_sink.h"
 #include "sim/scenarios.h"
@@ -193,31 +194,56 @@ TEST_F(TelemetryPropertyTest, SpanChildTimeIsBoundedByParentTime) {
   EXPECT_EQ(build->children[1].name, "theta.phase2");
 }
 
+/// Parallel theta build plus both interference kernels on a fixed seed.
+void run_theta_interference_workload() {
+  geom::Rng rng(11);
+  topo::Deployment d;
+  d.positions = topo::uniform_square(400, 1.0, rng);
+  d.max_range = 0.15;
+  d.kappa = 2.0;
+  const core::ThetaTopology tt(d, std::numbers::pi / 9.0);
+  const interf::InterferenceModel model{1.0};
+  (void)interf::interference_set_sizes(tt.graph(), d, model);
+  (void)interf::interference_sets(tt.graph(), d, model);
+}
+
 TEST_F(TelemetryPropertyTest, DeterministicJsonIsByteIdenticalAcrossThreads) {
   // The same workload at 1, 2, and 4 threads must produce the same
   // deterministic dump — the in-process version of the ctest fixture diff.
-  const auto run_workload = [] {
-    geom::Rng rng(11);
-    topo::Deployment d;
-    d.positions = topo::uniform_square(400, 1.0, rng);
-    d.max_range = 0.15;
-    d.kappa = 2.0;
-    const core::ThetaTopology tt(d, std::numbers::pi / 9.0);
-    const interf::InterferenceModel model{1.0};
-    (void)interf::interference_set_sizes(tt.graph(), d, model);
-    (void)interf::interference_sets(tt.graph(), d, model);
-  };
   std::vector<std::string> dumps;
   for (const int threads : {1, 2, 4}) {
     tn::set_num_threads(threads);
     obs::MetricsRegistry::global().reset();
     obs::reset_spans();
-    run_workload();
-    dumps.push_back(
-        obs::to_json(obs::capture_telemetry(), /*include_timing=*/false));
+    run_theta_interference_workload();
+    dumps.push_back(obs::to_json(obs::capture_telemetry()));
   }
   EXPECT_EQ(dumps[0], dumps[1]);
   EXPECT_EQ(dumps[0], dumps[2]);
+}
+
+TEST_F(TelemetryPropertyTest, DumpCarriesEveryRecordedMetric) {
+  // What is recorded is what the dump carries: no metric is kept back from
+  // it, with the pool really dispatching across threads.
+  tn::set_num_threads(4);
+  run_theta_interference_workload();
+  const obs::MetricsSnapshot recorded =
+      obs::MetricsRegistry::global().snapshot();
+  std::string err;
+  const auto parsed = obs::parse_telemetry_json(
+      obs::to_json(obs::capture_telemetry()), &err);
+  ASSERT_TRUE(parsed.has_value()) << err;
+  ASSERT_FALSE(recorded.counters.empty());
+  for (const obs::CounterSnapshot& c : recorded.counters) {
+    const auto it = parsed->counters.find(c.name);
+    ASSERT_NE(it, parsed->counters.end()) << "counter " << c.name;
+    EXPECT_EQ(it->second, c.value) << "counter " << c.name;
+  }
+  for (const obs::DistributionSnapshot& d : recorded.distributions) {
+    const auto it = parsed->distributions.find(d.name);
+    ASSERT_NE(it, parsed->distributions.end()) << "distribution " << d.name;
+    EXPECT_EQ(it->second.count, d.count) << "distribution " << d.name;
+  }
 }
 
 }  // namespace

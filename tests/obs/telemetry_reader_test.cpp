@@ -15,11 +15,10 @@ namespace {
 /// primary fixture is a real to_json document, not a hand-written one.
 TelemetrySnapshot sink_snapshot() {
   TelemetrySnapshot snap;
-  snap.metrics.counters.push_back({"router.injected", Stability::kStable, 42});
-  snap.metrics.counters.push_back({"grid.queries", Stability::kStable, 7});
+  snap.metrics.counters.push_back({"router.injected", 42});
+  snap.metrics.counters.push_back({"grid.queries", 7});
   DistributionSnapshot d;
   d.name = "router.round_peak_buffer";
-  d.stability = Stability::kStable;
   d.count = 10;
   d.min = 0;
   d.max = 6;
@@ -54,7 +53,7 @@ TelemetrySnapshot sink_snapshot() {
 }
 
 TEST(TelemetryReader, RoundTripsTheSinkOutput) {
-  const std::string doc = to_json(sink_snapshot(), /*include_timing=*/true);
+  const std::string doc = to_json(sink_snapshot());
   std::string err;
   const auto parsed = parse_telemetry_json(doc, &err);
   ASSERT_TRUE(parsed.has_value()) << err;
@@ -95,8 +94,7 @@ TEST(TelemetryReader, RoundTripsTheSinkOutput) {
 
 TEST(TelemetryReader, EscapedNamesRoundTrip) {
   TelemetrySnapshot snap;
-  snap.metrics.counters.push_back(
-      {"weird\"name\\with\nstuff", Stability::kStable, 5});
+  snap.metrics.counters.push_back({"weird\"name\\with\nstuff", 5});
   const std::string doc = to_json(snap);
   std::string err;
   const auto parsed = parse_telemetry_json(doc, &err);
@@ -128,6 +126,16 @@ TEST(TelemetryReader, RejectsMalformedDocuments) {
        "trailing"},
       {R"({"counters": {"a": "nope"}, "distributions": {}, "schema": "thetanet-telemetry/2", "series": {}, "spans": []})",
        "counter 'a'"},
+      // A count is an exact non-negative integer: no sign, fraction or
+      // exponent is rounded or clamped into one.
+      {R"({"counters": {"a": -5}, "distributions": {}, "schema": "thetanet-telemetry/2", "series": {}, "spans": []})",
+       "counter 'a' is not a non-negative integer"},
+      {R"({"counters": {"a": 1.5}, "distributions": {}, "schema": "thetanet-telemetry/2", "series": {}, "spans": []})",
+       "counter 'a' is not a non-negative integer"},
+      {R"({"counters": {"a": 1e30}, "distributions": {}, "schema": "thetanet-telemetry/2", "series": {}, "spans": []})",
+       "counter 'a' is not a non-negative integer"},
+      {R"({"counters": {}, "distributions": {"d": {"count": "x"}}, "schema": "thetanet-telemetry/2", "series": {}, "spans": []})",
+       "distribution 'd' field 'count'"},
   };
   for (const Case& c : bad) {
     std::string err;

@@ -9,15 +9,13 @@
 namespace thetanet::obs {
 namespace {
 
-/// A hand-built snapshot exercising sorting, stability filtering, nesting,
-/// and escaping — the golden JSON below is the schema contract.
+/// A hand-built snapshot exercising sorting, nesting, and escaping — the
+/// golden JSON below is the schema contract.
 TelemetrySnapshot sample_snapshot() {
   TelemetrySnapshot snap;
-  snap.metrics.counters.push_back({"alpha.count", Stability::kStable, 3});
-  snap.metrics.counters.push_back({"beta.count", Stability::kTiming, 9});
+  snap.metrics.counters.push_back({"alpha.count", 3});
   DistributionSnapshot d;
   d.name = "alpha.dist";
-  d.stability = Stability::kStable;
   d.count = 4;
   d.min = 1;
   d.max = 9;
@@ -33,14 +31,6 @@ TelemetrySnapshot sample_snapshot() {
   s.rounds = 6;
   s.upoints = {1, 7, 4};
   snap.series.push_back(s);
-  SeriesSnapshot t;
-  t.name = "beta.series";
-  t.agg = SeriesAgg::kSum;
-  t.kind = SeriesKind::kF64;
-  t.stability = Stability::kTiming;
-  t.rounds = 2;
-  t.fpoints = {0.5, 1.25};
-  snap.series.push_back(t);
   SpanSnapshot child;
   child.name = "child";
   child.count = 2;
@@ -55,8 +45,8 @@ TelemetrySnapshot sample_snapshot() {
 }
 
 TEST(TraceSink, GoldenDeterministicJson) {
-  // Byte-exact golden: deterministic mode drops kTiming metrics/series and
-  // all wall_ns fields; keys at every level are sorted.
+  // Byte-exact golden: span wall_ns never reaches the document; keys at
+  // every level are sorted.
   const std::string expected = R"({
   "counters": {
     "alpha.count": 3
@@ -83,25 +73,13 @@ TEST(TraceSink, GoldenDeterministicJson) {
   ]
 }
 )";
-  EXPECT_EQ(to_json(sample_snapshot(), /*include_timing=*/false), expected);
-}
-
-TEST(TraceSink, TimingModeAddsTimingMetricsAndWallTime) {
-  const std::string doc = to_json(sample_snapshot(), /*include_timing=*/true);
-  EXPECT_NE(doc.find("\"beta.count\": 9"), std::string::npos);
-  EXPECT_NE(doc.find("\"wall_ns\": 100"), std::string::npos);
-  EXPECT_NE(doc.find("\"wall_ns\": 50"), std::string::npos);
-  // Timing-class series appear, f64 points in shortest round-trip form.
-  EXPECT_NE(doc.find("\"beta.series\": {\"agg\": \"sum\", \"kind\": \"f64\", "
-                     "\"points\": [0.5, 1.25]"),
-            std::string::npos);
+  EXPECT_EQ(to_json(sample_snapshot()), expected);
 }
 
 TEST(TraceSink, DeterministicModeExcludesWallTime) {
-  const std::string doc = to_json(sample_snapshot(), /*include_timing=*/false);
-  EXPECT_EQ(doc.find("wall_ns"), std::string::npos);
-  EXPECT_EQ(doc.find("beta.count"), std::string::npos);
-  EXPECT_EQ(doc.find("beta.series"), std::string::npos);
+  // The sample's spans carry nonzero wall time; the one document has no
+  // field for it.
+  EXPECT_EQ(to_json(sample_snapshot()).find("wall_ns"), std::string::npos);
 }
 
 TEST(TraceSink, EmptySnapshotIsValidJson) {
@@ -119,8 +97,7 @@ TEST(TraceSink, EmptySnapshotIsValidJson) {
 
 TEST(TraceSink, StringsAreEscaped) {
   TelemetrySnapshot snap;
-  snap.metrics.counters.push_back({"weird\"name\\with\nstuff",
-                                   Stability::kStable, 1});
+  snap.metrics.counters.push_back({"weird\"name\\with\nstuff", 1});
   const std::string doc = to_json(snap);
   EXPECT_NE(doc.find(R"("weird\"name\\with\nstuff": 1)"), std::string::npos);
 }
@@ -135,9 +112,7 @@ TEST(TraceSink, RecordingOffMacrosRecordNothing) {
   {
     TN_OBS_SPAN("off.phase");
     TN_OBS_COUNT("off.counter", 3);
-    TN_OBS_COUNT_TIMING("off.timing", 1);
     TN_OBS_RECORD("off.dist", 42);
-    TN_OBS_RECORD_TIMING("off.dist_timing", 7);
     TN_OBS_SERIES_ADD("off.series_add", 0, 5);
     TN_OBS_SERIES_MAX("off.series_max", 1, 9);
     TN_OBS_SERIES_ADD_F64("off.series_f64", 2, 1.5);
@@ -152,16 +127,12 @@ TEST(TraceSink, RecordingOffMacrosRecordNothing) {
                                  [&](const auto& x) { return x.name == name; });
     return it == items.end() ? nullptr : &*it;
   };
-  for (const char* name : {"off.counter", "off.timing"}) {
-    const CounterSnapshot* c = named(snap.metrics.counters, name);
-    ASSERT_NE(c, nullptr) << name;
-    EXPECT_EQ(c->value, 0U) << name;
-  }
-  for (const char* name : {"off.dist", "off.dist_timing"}) {
-    const DistributionSnapshot* d = named(snap.metrics.distributions, name);
-    ASSERT_NE(d, nullptr) << name;
-    EXPECT_EQ(d->count, 0U) << name;
-  }
+  const CounterSnapshot* c = named(snap.metrics.counters, "off.counter");
+  ASSERT_NE(c, nullptr);
+  EXPECT_EQ(c->value, 0U);
+  const DistributionSnapshot* d = named(snap.metrics.distributions, "off.dist");
+  ASSERT_NE(d, nullptr);
+  EXPECT_EQ(d->count, 0U);
   for (const char* name :
        {"off.series_add", "off.series_max", "off.series_f64"}) {
     const SeriesSnapshot* ts = named(snap.series, name);

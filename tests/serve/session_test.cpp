@@ -127,8 +127,7 @@ TEST_F(SessionTest, SubscriptionFramesFoldIntoTheDump) {
   for (const auto& f : *frames) ASSERT_TRUE(folder.fold(f, &err)) << err;
 
   // The fold must byte-equal the one-shot dump of the same state.
-  EXPECT_EQ(folder.to_dump_json(), obs::to_json(obs::capture_telemetry(),
-                                                /*include_timing=*/false));
+  EXPECT_EQ(folder.to_dump_json(), obs::to_json(obs::capture_telemetry()));
 }
 
 TEST_F(SessionTest, UnsubscribeStopsFrames) {

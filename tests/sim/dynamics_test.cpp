@@ -319,8 +319,7 @@ class DynamicsTelemetry : public ::testing::Test {
     blast.radius = 0.2;
     schedule.push_back(blast);
     engine.run(schedule, 12);
-    return obs::to_json(obs::capture_telemetry(),
-                        /*include_timing=*/false);
+    return obs::to_json(obs::capture_telemetry());
   }
 };
 

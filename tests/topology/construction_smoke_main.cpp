@@ -102,7 +102,7 @@ int main(int argc, char** argv) {
   const double rss = peak_rss_mb();
   std::printf("construction_smoke: n=%zu sink=%llu peak_rss=%.1f MB\n", n,
               static_cast<unsigned long long>(sink), rss);
-  if (!obs::write_telemetry_json(out_path, /*include_timing=*/false)) {
+  if (!obs::write_telemetry_json(out_path)) {
     std::fprintf(stderr, "construction_smoke: cannot write %s\n",
                  out_path.c_str());
     return 1;

@@ -90,12 +90,10 @@ PipelineOutput run_pipeline(const topo::Deployment& d, bool morton,
     for (const graph::EdgeId e : set) out.blob.push_back(e);
   }
 
-  // Only kStable counters participate: timing-class metrics are allowed to
-  // depend on scheduling by contract.
+  // Every counter is thread-count invariant by contract.
   for (const obs::CounterSnapshot& c :
        obs::MetricsRegistry::global().snapshot().counters)
-    if (c.stability == obs::Stability::kStable)
-      out.stable_counters.emplace_back(c.name, c.value);
+    out.stable_counters.emplace_back(c.name, c.value);
 
   geom::set_spatial_order_enabled(true);
   tn::set_num_threads(1);
