@@ -40,27 +40,6 @@ BalancingParams theorem33_params(const route::OptStats& opt, double eps) {
   return p;
 }
 
-std::optional<PlannedTx> BalancingRouter::best_for_pair(graph::NodeId from,
-                                                        graph::NodeId to,
-                                                        graph::EdgeId edge,
-                                                        double cost) const {
-  TN_DCHECK(quantum_ == 0);
-  std::optional<PlannedTx> best;
-  buffers_.for_each_pair(
-      from, to, [&](DestId d, std::uint32_t h_from, std::uint32_t h_to) {
-        if (h_from == 0) return;  // nothing to send toward d
-        const double benefit = static_cast<double>(h_from) -
-                               static_cast<double>(h_to) -
-                               params_.gamma * cost;
-        if (benefit <= params_.threshold) return;
-        // Deterministic argmax: strictly larger benefit wins; ties keep the
-        // first (smallest) destination from the sorted scan.
-        if (!best || benefit > best->benefit)
-          best = PlannedTx{edge, from, to, d, benefit};
-      });
-  return best;
-}
-
 namespace {
 
 // Riding cursor into one node's sorted advertisement table: height(d) for

@@ -46,6 +46,7 @@
 #include <span>
 #include <vector>
 
+#include "common/assert.h"
 #include "graph/graph.h"
 #include "routing/adversary.h"
 #include "routing/buffers.h"
@@ -169,9 +170,27 @@ class BalancingRouter {
   /// Benefit evaluation for one directed pair (used by the honeycomb MAC of
   /// Section 3.4, where contestants are sender-receiver pairs rather than
   /// pre-activated edges). nullopt when no destination clears benefit > T.
-  /// Reads live heights, so it is for quantum = 0 routers only.
+  /// Reads live heights, so it is for quantum = 0 routers only. Defined in
+  /// this header so that the honeycomb's per-round pair loop inlines it.
   std::optional<PlannedTx> best_for_pair(graph::NodeId from, graph::NodeId to,
-                                         graph::EdgeId edge, double cost) const;
+                                         graph::EdgeId edge, double cost) const {
+    TN_DCHECK(quantum_ == 0);
+    std::optional<PlannedTx> best;
+    buffers_.for_each_pair(
+        from, to,
+        [&](route::DestId d, std::uint32_t h_from, std::uint32_t h_to) {
+          if (h_from == 0) return;  // nothing to send toward d
+          const double benefit = static_cast<double>(h_from) -
+                                 static_cast<double>(h_to) -
+                                 params_.gamma * cost;
+          if (benefit <= params_.threshold) return;
+          // Deterministic argmax: strictly larger benefit wins; ties keep
+          // the first (smallest) destination from the sorted scan.
+          if (!best || benefit > best->benefit)
+            best = PlannedTx{edge, from, to, d, benefit};
+        });
+    return best;
+  }
 
   /// Execute planned transmissions. failed[i] == true means the MAC reports
   /// a collision: the packet stays put and the transmission energy is

@@ -40,14 +40,16 @@ std::vector<PlannedTx> HoneycombMac::select(const BalancingRouter& router,
   TN_ASSERT_MSG(costs.size() == unit_graph_->num_edges(),
                 "costs must hold one entry per unit-graph edge");
   const BalancingParams& bp = router.params();
-  TN_ASSERT_MSG(bp.gamma >= 0.0, "the sender prune requires gamma >= 0");
+  TN_ASSERT_MSG(bp.gamma >= 0.0, "the pair prune requires gamma >= 0");
 
-  // Candidate pairs come only from senders that can clear T. A pair's
-  // benefit h_from - h_to - gamma*c never exceeds h_from when gamma >= 0
-  // and c >= 0 (the difference of two small integers is exact in double
-  // and rounding is monotone), and best_for_pair rejects benefit <= T. So
-  // a sender whose tallest buffer is <= T, or that buffers nothing, yields
-  // no candidate and is skipped without changing the result.
+  // Only pairs that can clear T are evaluated. A pair's benefit is
+  // (h_from - h_to) - gamma*c; the difference of two small integers is
+  // exact in double and never exceeds the sender's tallest buffer, and
+  // subtracting the same rounded gamma*c product is monotone. So a pair with
+  // tallest - gamma*c <= T has benefit <= T, which best_for_pair rejects,
+  // and is skipped without changing the result. With gamma >= 0 and c >= 0
+  // that bound is at most the tallest buffer itself: a sender whose tallest
+  // buffer is <= T, or that buffers nothing, is skipped whole.
   struct Candidate {
     PlannedTx tx;
     geom::HexCell cell;  // the sender's hexagon
@@ -59,13 +61,15 @@ std::vector<PlannedTx> HoneycombMac::select(const BalancingRouter& router,
   const route::BufferBank& buffers = router.buffers();
   buffers.for_each_active_node([&](graph::NodeId s) {
     const std::span<const std::uint32_t> h = buffers.heights(s);
-    if (static_cast<double>(*std::max_element(h.begin(), h.end())) <=
-        bp.threshold)
-      return;
+    const double tallest =
+        static_cast<double>(*std::max_element(h.begin(), h.end()));
+    if (tallest <= bp.threshold) return;
     std::optional<geom::HexCell> cell;
     for (const graph::Half& nb : unit_graph_->neighbors(s)) {
+      const double cost = costs[nb.edge];
+      if (tallest - bp.gamma * cost <= bp.threshold) continue;
       const std::optional<PlannedTx> tx =
-          router.best_for_pair(s, nb.to, nb.edge, costs[nb.edge]);
+          router.best_for_pair(s, nb.to, nb.edge, cost);
       if (!tx) continue;
       if (!cell) cell = tiling_.cell_of(deployment_->positions[s]);
       const std::uint64_t key = (std::uint64_t{nb.edge} << 1) |

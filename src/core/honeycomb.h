@@ -57,11 +57,14 @@ class HoneycombMac {
   /// clears the router's threshold T), then a p_t coin per contestant.
   ///
   /// `costs` holds one cost per unit-graph edge, each c >= 0, and the
-  /// router's gamma must be >= 0 (asserted). Then no pair's benefit exceeds
-  /// its sender's tallest buffer, so only senders with a buffer taller than
-  /// T are visited. The result is that of a scan over all 2E directed pairs
-  /// in (edge id, direction) order: same transmissions, same statistics,
-  /// same coins drawn from `rng`.
+  /// router's gamma must be >= 0 (asserted). A pair's benefit never exceeds
+  /// tallest - gamma*c, its sender's tallest buffer less the cost term
+  /// (computed in double, the bound is exact), so only senders with a buffer
+  /// taller than T are visited, and of their pairs only those with
+  /// tallest - gamma*c > T reach the inlined best_for_pair. The result is
+  /// that of a scan over all 2E directed pairs in (edge id, direction)
+  /// order: same transmissions, same statistics, same coins drawn from
+  /// `rng`.
   std::vector<PlannedTx> select(const BalancingRouter& router,
                                 std::span<const double> costs, geom::Rng& rng,
                                 SelectionStats* stats = nullptr) const;

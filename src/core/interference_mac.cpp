@@ -21,12 +21,16 @@ RandomizedMac::RandomizedMac(const graph::Graph& topo,
     bounds_[e] = b;
     max_bound_ = std::max(max_bound_, b);
   }
+  cuts_.resize(bounds_.size());
+  for (std::size_t e = 0; e < bounds_.size(); ++e)
+    cuts_[e] = geom::Rng::bernoulli_cut(
+        activation_prob(static_cast<graph::EdgeId>(e)));
 }
 
 std::vector<graph::EdgeId> RandomizedMac::activate(geom::Rng& rng) const {
   std::vector<graph::EdgeId> active;
-  for (graph::EdgeId e = 0; e < bounds_.size(); ++e)
-    if (rng.bernoulli(activation_prob(e))) active.push_back(e);
+  for (graph::EdgeId e = 0; e < cuts_.size(); ++e)
+    if (rng.bernoulli_below(cuts_[e])) active.push_back(e);
   return active;
 }
 

@@ -34,7 +34,12 @@ class RandomizedMac {
     return 1.0 / (2.0 * static_cast<double>(bounds_[e]));
   }
 
-  /// Sample this step's active edge set.
+  /// Sample this step's active edge set: edge e is active with probability
+  /// activation_prob(e), one draw of `rng` per edge in edge-id order. Each
+  /// draw is compared with an integer cut precomputed per edge
+  /// (geom::Rng::bernoulli_cut), so a round costs one draw, a shift and a
+  /// compare per edge, and draws and outcomes are exactly those of
+  /// rng.bernoulli(activation_prob(e)).
   std::vector<graph::EdgeId> activate(geom::Rng& rng) const;
 
   /// Collision outcome for the transmissions the router actually makes:
@@ -47,6 +52,7 @@ class RandomizedMac {
   const topo::Deployment* deployment_;
   interf::InterferenceModel model_;
   std::vector<std::uint32_t> bounds_;  ///< I_e per edge (>= 1)
+  std::vector<std::uint64_t> cuts_;    ///< bernoulli_cut(activation_prob(e))
   std::uint32_t max_bound_ = 1;
 };
 
@@ -60,16 +66,22 @@ class SlottedAlohaMac {
  public:
   SlottedAlohaMac(const graph::Graph& topo, const topo::Deployment& d,
                   const interf::InterferenceModel& model, double p)
-      : topo_(&topo), deployment_(&d), model_(model), p_(p) {
+      : topo_(&topo),
+        deployment_(&d),
+        model_(model),
+        p_(p),
+        cut_(geom::Rng::bernoulli_cut(p)) {
     TN_ASSERT(p > 0.0 && p <= 1.0);
   }
 
   double activation_prob() const { return p_; }
 
+  /// Every edge is active with probability p: the draws and outcomes of
+  /// rng.bernoulli(p) per edge in edge-id order, through one integer cut.
   std::vector<graph::EdgeId> activate(geom::Rng& rng) const {
     std::vector<graph::EdgeId> active;
     for (graph::EdgeId e = 0; e < topo_->num_edges(); ++e)
-      if (rng.bernoulli(p_)) active.push_back(e);
+      if (rng.bernoulli_below(cut_)) active.push_back(e);
     return active;
   }
 
@@ -85,6 +97,7 @@ class SlottedAlohaMac {
   const topo::Deployment* deployment_;
   interf::InterferenceModel model_;
   double p_;
+  std::uint64_t cut_;  ///< geom::Rng::bernoulli_cut(p_)
 };
 
 }  // namespace thetanet::core

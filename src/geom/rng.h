@@ -75,6 +75,23 @@ class Rng {
   /// Bernoulli trial with success probability p.
   bool bernoulli(double p) { return uniform() < p; }
 
+  /// The integer cut that lets bernoulli_below(cut) replay bernoulli(p)
+  /// draw for draw. bernoulli compares k * 2^-53 < p for the 53-bit draw
+  /// k = r >> 11. Scaling by 2^53 is exact, and k is an integer, so that is
+  /// k < p * 2^53, which is k < ceil(p * 2^53). The cut is 0 for p <= 0 and
+  /// for NaN (bernoulli never succeeds) and 2^53 for p >= 1 (it always does).
+  static std::uint64_t bernoulli_cut(double p) {
+    constexpr double kScale = 0x1.0p53;
+    const double cut = std::ceil(p * kScale);
+    if (!(cut > 0.0)) return 0;
+    if (cut >= kScale) return std::uint64_t{1} << 53;
+    return static_cast<std::uint64_t>(cut);
+  }
+
+  /// bernoulli(p) for cut = bernoulli_cut(p): the same draw and the same
+  /// outcome, with one integer compare in place of the conversion.
+  bool bernoulli_below(std::uint64_t cut) { return ((*this)() >> 11) < cut; }
+
   /// Standard normal via Marsaglia's polar method (deterministic, no std::).
   double normal() {
     if (have_spare_) {

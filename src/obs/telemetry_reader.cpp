@@ -360,11 +360,14 @@ bool extract(const JsonValue& root, ParsedTelemetry& out, std::string* error) {
     const auto pts = o.find("points");
     if (pts == o.end() || !pts->second.is_array())
       return shape_fail(error, "series '" + name + "' has no points array");
+    const bool integral = s.kind == "u64";
     for (const JsonValue& p : pts->second.array()) {
       if (!p.is_number())
         return shape_fail(error,
                           "series '" + name + "' has a non-numeric point");
       s.points.push_back(p.number());
+      if (integral && !exact_u64(p, s.upoints.emplace_back()))
+        return not_u64(error, "series '" + name + "' point");
     }
     out.series[name] = std::move(s);
   }

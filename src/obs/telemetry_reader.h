@@ -30,6 +30,9 @@ struct ParsedSeries {
   std::uint64_t stride = 1;
   std::uint64_t rounds = 0;
   std::vector<double> points;  ///< f64 view regardless of kind
+  /// The exact points of a u64 series (empty for f64): each a plain
+  /// non-negative integer up to 2^64 - 1, which `points` may round.
+  std::vector<std::uint64_t> upoints;
 };
 
 struct ParsedSpan {

@@ -201,8 +201,9 @@ std::uint32_t tallest_buffer(const BalancingRouter& router, graph::NodeId v) {
 
 // The contestant selection as a scan over all 2E directed pairs, in (edge id,
 // forward before backward) order: the reference oracle for select(). With
-// `skip_at_or_below` set it drops every sender whose tallest buffer is at
-// most that value — the planted over-prune the comparison must catch.
+// `skip_at_or_below` set it drops every pair whose sender's tallest buffer
+// less gamma * c is at most that value — select()'s per-pair bound moved
+// past T, the planted over-prune the comparison must catch.
 std::vector<PlannedTx> dense_select(
     const HoneycombMac& mac, const topo::Deployment& d,
     const graph::Graph& unit, const BalancingRouter& router,
@@ -217,7 +218,9 @@ std::vector<PlannedTx> dense_select(
       const graph::NodeId s = forward ? edge.u : edge.v;
       const graph::NodeId t = forward ? edge.v : edge.u;
       if (skip_at_or_below &&
-          static_cast<double>(tallest_buffer(router, s)) <= *skip_at_or_below)
+          static_cast<double>(tallest_buffer(router, s)) -
+                  router.params().gamma * costs[e] <=
+              *skip_at_or_below)
         continue;
       const std::optional<PlannedTx> tx =
           router.best_for_pair(s, t, e, costs[e]);
@@ -312,6 +315,7 @@ TEST(Honeycomb, SelectMatchesFullPairScan) {
   const HoneycombMac mac(f.d, f.unit, HoneycombParams{0.5, 1.0 / 6.0});
   const std::vector<double> costs = f.costs();
   std::size_t states = 0, pruned_states = 0, candidate_states = 0;
+  std::size_t costed_states = 0, pair_pruned_states = 0;
   for (const double threshold : {0.0, 0.5, 3.0, 100.0}) {
     for (const double gamma : {0.0, 7.45}) {
       std::size_t caught = 0;
@@ -351,6 +355,21 @@ TEST(Honeycomb, SelectMatchesFullPairScan) {
               skips_a_sender = true;
           });
           if (skips_a_sender) ++pruned_states;
+          // States where the per-pair bound skips a pair whose sender the
+          // sender gate kept: the part of select() only gamma * c reaches.
+          if (gamma > 0.0) {
+            ++costed_states;
+            bool skips_a_pair = false;
+            router.buffers().for_each_active_node([&](graph::NodeId v) {
+              const double tallest =
+                  static_cast<double>(tallest_buffer(router, v));
+              if (tallest <= threshold) return;
+              for (const graph::Half& nb : f.unit.neighbors(v))
+                if (tallest - gamma * costs[nb.edge] <= threshold)
+                  skips_a_pair = true;
+            });
+            if (skips_a_pair) ++pair_pruned_states;
+          }
           // Move on along select()'s own trajectory.
           rng = rng_select;
           router.execute(txs, mac.resolve(txs), costs, t, m);
@@ -365,8 +384,10 @@ TEST(Honeycomb, SelectMatchesFullPairScan) {
     }
   }
   EXPECT_EQ(states, 4U * 2U * 3U * 40U);
+  EXPECT_EQ(costed_states, states / 2);
   EXPECT_GT(candidate_states, states / 4);
   EXPECT_GT(pruned_states, states / 4);
+  EXPECT_GT(pair_pruned_states, costed_states / 4);
 }
 
 TEST(Honeycomb, SelectWithEverySenderAtOrBelowThreshold) {

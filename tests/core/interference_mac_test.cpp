@@ -4,6 +4,7 @@
 
 #include <numbers>
 #include <utility>
+#include <vector>
 
 #include "core/theta_topology.h"
 #include "topology/distributions.h"
@@ -157,6 +158,43 @@ TEST(SlottedAloha, FullProbabilityActivatesEverything) {
   const SlottedAlohaMac mac(f.topo, f.d, f.model, 1.0);
   geom::Rng rng(2);
   EXPECT_EQ(mac.activate(rng).size(), f.topo.num_edges());
+}
+
+// activate() through the precomputed cuts against the per-edge
+// bernoulli(activation_prob(e)) loop it replaces: the same active sets, round
+// for round, and the same rng state after 10^4 rounds.
+TEST(RandomizedMac, ActivateReplaysTheBernoulliLoop) {
+  const MacFixture f(77);
+  const RandomizedMac mac(f.topo, f.d, f.model);
+  ASSERT_GT(f.topo.num_edges(), 100U);
+  geom::Rng fast(5), slow(5);
+  std::size_t active = 0;
+  for (int round = 0; round < 10000; ++round) {
+    std::vector<graph::EdgeId> expected;
+    for (graph::EdgeId e = 0; e < f.topo.num_edges(); ++e)
+      if (slow.bernoulli(mac.activation_prob(e))) expected.push_back(e);
+    const std::vector<graph::EdgeId> got = mac.activate(fast);
+    ASSERT_EQ(got, expected) << "round " << round;
+    active += got.size();
+  }
+  EXPECT_GT(active, 0U);
+  EXPECT_EQ(fast(), slow());
+}
+
+TEST(SlottedAloha, ActivateReplaysTheBernoulliLoop) {
+  const MacFixture f(78, 60, 0.25);
+  for (const double p : {0.05, 1.0 / 3.0, 1.0}) {
+    const SlottedAlohaMac mac(f.topo, f.d, f.model, p);
+    geom::Rng fast(6), slow(6);
+    for (int round = 0; round < 10000; ++round) {
+      std::vector<graph::EdgeId> expected;
+      for (graph::EdgeId e = 0; e < f.topo.num_edges(); ++e)
+        if (slow.bernoulli(p)) expected.push_back(e);
+      ASSERT_EQ(mac.activate(fast), expected) << "p=" << p << " round "
+                                               << round;
+    }
+    EXPECT_EQ(fast(), slow());
+  }
 }
 
 TEST(RandomizedMac, DegenerateSingleEdge) {

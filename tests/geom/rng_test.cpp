@@ -92,6 +92,76 @@ TEST(Rng, BernoulliDegenerateProbabilities) {
   }
 }
 
+// The uniform() value bernoulli() compares for the 53-bit draw k.
+double as_uniform(std::uint64_t k) {
+  return static_cast<double>(k) * 0x1.0p-53;
+}
+
+// bernoulli_below(bernoulli_cut(p)) must decide every draw as bernoulli(p)
+// does; a draw can only disagree next to the cut, so check k = cut - 2 ..
+// cut + 1. With floor in place of ceil the cut is one too low whenever
+// p * 2^53 is not an integer, and k = cut then disagrees.
+testing::AssertionResult cut_agrees(double p) {
+  const std::uint64_t cut = Rng::bernoulli_cut(p);
+  for (std::uint64_t k = cut < 2 ? 0 : cut - 2; k <= cut + 1; ++k) {
+    if ((as_uniform(k) < p) != (k < cut))
+      return testing::AssertionFailure()
+             << "p=" << p << " cut=" << cut << " disagrees at k=" << k;
+  }
+  return testing::AssertionSuccess();
+}
+
+TEST(Rng, BernoulliCutMatchesTheDoubleCompare) {
+  EXPECT_TRUE(cut_agrees(0.5));
+  EXPECT_TRUE(cut_agrees(1.0));
+  EXPECT_EQ(Rng::bernoulli_cut(0.5), std::uint64_t{1} << 52);
+  EXPECT_EQ(Rng::bernoulli_cut(1.0), std::uint64_t{1} << 53);
+  // The randomized MAC's 1/(2 I_e) for every bound up to 10^4.
+  std::size_t fractional = 0;
+  for (int i = 1; i <= 10000; ++i) {
+    const double p = 1.0 / (2.0 * static_cast<double>(i));
+    ASSERT_TRUE(cut_agrees(p)) << "I=" << i;
+    if (std::ceil(p * 0x1.0p53) != std::floor(p * 0x1.0p53)) ++fractional;
+  }
+  // Most of them are no multiple of 2^-53, where floor and ceil differ.
+  EXPECT_GT(fractional, 9000U);
+  // p * 2^53 an integer: the draw equal to it must fail, the one below pass.
+  for (const std::uint64_t m :
+       {std::uint64_t{1}, std::uint64_t{2}, std::uint64_t{3},
+        std::uint64_t{12345}, std::uint64_t{1} << 40,
+        (std::uint64_t{1} << 53) - 1, (std::uint64_t{3} << 51)}) {
+    const double p = as_uniform(m);
+    EXPECT_EQ(Rng::bernoulli_cut(p), m);
+    EXPECT_TRUE(cut_agrees(p));
+  }
+  Rng rng(10);
+  for (int i = 0; i < 1000; ++i) {
+    const std::uint64_t m = rng() >> 11;
+    ASSERT_TRUE(cut_agrees(as_uniform(m)));
+    ASSERT_TRUE(cut_agrees(rng.uniform() / 3.0));
+  }
+}
+
+TEST(Rng, BernoulliCutDegenerateProbabilities) {
+  EXPECT_EQ(Rng::bernoulli_cut(0.0), 0U);
+  EXPECT_EQ(Rng::bernoulli_cut(-0.25), 0U);
+  EXPECT_EQ(Rng::bernoulli_cut(std::nan("")), 0U);
+  EXPECT_EQ(Rng::bernoulli_cut(2.0), std::uint64_t{1} << 53);
+  EXPECT_EQ(Rng::bernoulli_cut(0x1.0p-60), 1U);  // only k = 0 succeeds
+  EXPECT_TRUE(cut_agrees(0x1.0p-60));
+  EXPECT_TRUE(cut_agrees(1.0 - 0x1.0p-54));
+}
+
+TEST(Rng, BernoulliBelowReplaysBernoulli) {
+  for (const double p : {0.0, 1e-3, 0.1, 1.0 / 3.0, 0.5, 1.0}) {
+    Rng a(11), b(11);
+    const std::uint64_t cut = Rng::bernoulli_cut(p);
+    for (int i = 0; i < 10000; ++i)
+      ASSERT_EQ(a.bernoulli(p), b.bernoulli_below(cut)) << "p=" << p;
+    EXPECT_EQ(a(), b());
+  }
+}
+
 TEST(Rng, NormalMoments) {
   Rng rng(9);
   const int n = 200000;

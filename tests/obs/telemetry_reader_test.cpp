@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -80,10 +81,12 @@ TEST(TelemetryReader, RoundTripsTheSinkOutput) {
   EXPECT_EQ(u.stride, 4U);
   EXPECT_EQ(u.rounds, 10U);
   EXPECT_EQ(u.points, (std::vector<double>{2, 6, 3}));
+  EXPECT_EQ(u.upoints, (std::vector<std::uint64_t>{2, 6, 3}));
   const ParsedSeries& f = parsed->series.at("mobility.displacement");
   EXPECT_EQ(f.agg, "sum");
   EXPECT_EQ(f.kind, "f64");
   EXPECT_EQ(f.points, (std::vector<double>{0.5, 1.25}));
+  EXPECT_TRUE(f.upoints.empty());
 
   ASSERT_EQ(parsed->spans.size(), 1U);
   EXPECT_EQ(parsed->spans[0].name, "theta.build");
@@ -145,6 +148,34 @@ TEST(TelemetryReader, RejectsMalformedDocuments) {
         << "diagnostic '" << err << "' does not name '" << c.defect
         << "' for: " << c.doc;
   }
+}
+
+// A u64 series point is a count like any other: read exactly, never through
+// a double, so a fraction or a sign is rejected and 2^64 - 1 survives.
+TEST(TelemetryReader, U64SeriesPointsAreExactCounts) {
+  const auto with_points = [](const char* kind, const char* points) {
+    return std::string(R"({"counters": {}, "distributions": {}, "schema": "thetanet-telemetry/2", "series": {"s": {"agg": "max", "kind": ")") +
+           kind + R"(", "points": [)" + points +
+           R"(], "rounds": 3, "stride": 1}}, "spans": []})";
+  };
+  for (const char* bad : {"1, 1.5, 2", "1, -2, 2", "1, 1e3, 2",
+                          "1, 18446744073709551616, 2"}) {
+    std::string err;
+    EXPECT_FALSE(parse_telemetry_json(with_points("u64", bad), &err))
+        << "accepted u64 points " << bad;
+    EXPECT_NE(err.find("series 's' point is not a non-negative integer"),
+              std::string::npos)
+        << err;
+    EXPECT_TRUE(parse_telemetry_json(with_points("f64", bad), &err))
+        << "rejected f64 points " << bad << ": " << err;
+  }
+  std::string err;
+  const auto parsed =
+      parse_telemetry_json(with_points("u64", "0, 18446744073709551615, 7"),
+                           &err);
+  ASSERT_TRUE(parsed.has_value()) << err;
+  EXPECT_EQ(parsed->series.at("s").upoints,
+            (std::vector<std::uint64_t>{0, 18446744073709551615ULL, 7}));
 }
 
 TEST(TelemetryReader, RejectsRunawayNesting) {

@@ -45,8 +45,8 @@ frame. When the streams carry different frame counts the common prefix
 is compared and the mismatch is reported informationally.
 
 Exit status: 0 = no regression, 1 = regression, 2 = usage/IO error,
-3 = malformed dump or stream (wrong schema, non-integer values, missing
-sections, broken framing).
+3 = malformed dump or stream (wrong schema, a count that is not a
+non-negative integer, missing sections, broken framing).
 """
 
 import argparse
@@ -87,6 +87,14 @@ def malformed(path, why):
     sys.exit(3)
 
 
+def check_count(path, what, v):
+    """Counts are plain non-negative integers, as the C++ reader requires."""
+    if not isinstance(v, int) or isinstance(v, bool):
+        malformed(path, f"{what} has non-integer value {v!r}")
+    if v < 0:
+        malformed(path, f"{what} has negative value {v!r}")
+
+
 def validate(doc, path):
     """Check the document shape; exit 3 with a pointed diagnostic if off."""
     if not isinstance(doc, dict):
@@ -98,8 +106,7 @@ def validate(doc, path):
     if not isinstance(counters, dict):
         malformed(path, "missing or non-object 'counters' section")
     for name, v in counters.items():
-        if not isinstance(v, int) or isinstance(v, bool):
-            malformed(path, f"counter {name!r} has non-integer value {v!r}")
+        check_count(path, f"counter {name!r}", v)
     dists = doc.get("distributions")
     if not isinstance(dists, dict):
         malformed(path, "missing or non-object 'distributions' section")
@@ -107,10 +114,8 @@ def validate(doc, path):
         if not isinstance(d, dict):
             malformed(path, f"distribution {name!r} is not an object")
         for field in ("count", "max", "min", "p50", "p99", "sum"):
-            v = d.get(field)
-            if not isinstance(v, int) or isinstance(v, bool):
-                malformed(path, f"distribution {name!r} field {field!r} "
-                                f"has non-integer value {v!r}")
+            check_count(path, f"distribution {name!r} field {field!r}",
+                        d.get(field))
     series = doc.get("series")
     if not isinstance(series, dict):
         malformed(path, "missing or non-object 'series' section")
@@ -122,10 +127,8 @@ def validate(doc, path):
         if s.get("kind") not in ("u64", "f64"):
             malformed(path, f"series {name!r} has bad kind {s.get('kind')!r}")
         for field in ("stride", "rounds"):
-            v = s.get(field)
-            if not isinstance(v, int) or isinstance(v, bool):
-                malformed(path, f"series {name!r} field {field!r} "
-                                f"has non-integer value {v!r}")
+            check_count(path, f"series {name!r} field {field!r}",
+                        s.get(field))
         pts = s.get("points")
         if not isinstance(pts, list):
             malformed(path, f"series {name!r} has no points array")
@@ -137,6 +140,8 @@ def validate(doc, path):
                 malformed(path, f"series {name!r} has non-"
                                 f"{'integer' if integral else 'numeric'} "
                                 f"point {v!r}")
+            if integral and v < 0:
+                malformed(path, f"series {name!r} has negative point {v!r}")
     return counters, dists, series
 
 

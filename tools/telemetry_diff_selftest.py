@@ -256,6 +256,30 @@ def test_non_integer_counter_exits_3_with_diagnostic(tmp):
     assert "'a'" in p.stderr and "1.5" in p.stderr
 
 
+def test_negative_counter_exits_3(tmp):
+    # The C++ reader rejects this document; the diff must not call it an
+    # improvement.
+    p = run_diff(tmp, doc({"a": 3}), doc({"a": -5}))
+    assert p.returncode == 3, p.stdout + p.stderr
+    assert "'a'" in p.stderr and "-5" in p.stderr
+
+
+def test_negative_distribution_count_exits_3(tmp):
+    bad = dist()
+    bad["count"] = -4
+    p = run_diff(tmp, doc(distributions={"d": dist()}),
+                 doc(distributions={"d": bad}))
+    assert p.returncode == 3, p.stdout + p.stderr
+    assert "'count'" in p.stderr and "-4" in p.stderr
+
+
+def test_negative_u64_point_exits_3(tmp):
+    p = run_diff(tmp, doc(series={"s": series([1, 2])}),
+                 doc(series={"s": series([1, -2])}))
+    assert p.returncode == 3, p.stdout + p.stderr
+    assert "negative point -2" in p.stderr
+
+
 def test_malformed_distribution_exits_3(tmp):
     base = doc(distributions={"d": dist()})
     bad = dist()
@@ -403,6 +427,24 @@ def test_stream_malformed_framing_exits_3(tmp):
         capture_output=True, text=True, check=False)
     assert p.returncode == 3, p.stdout + p.stderr
     assert "bad frame header" in p.stderr
+
+
+def test_stream_negative_counter_delta_exits_3(tmp):
+    base = [sframe(0, {"a": 3}), sframe(1, {"a": 1})]
+    fresh = [sframe(0, {"a": 3}), sframe(1, {"a": -5})]
+    p = run_stream_diff(tmp, base, fresh)
+    assert p.returncode == 3, p.stdout + p.stderr
+    assert "'a'" in p.stderr and "-5" in p.stderr
+
+
+def test_stream_negative_u64_window_exits_3(tmp):
+    def ser(v):
+        return {"s": {"agg": "max", "kind": "u64", "points": {"0": v},
+                      "rounds": 1, "stride": 1}}
+    p = run_stream_diff(tmp, [sframe(0, series=ser(4))],
+                        [sframe(0, series=ser(-2))])
+    assert p.returncode == 3, p.stdout + p.stderr
+    assert "-2" in p.stderr
 
 
 def test_stream_rejects_dump_schema_bodies(tmp):

@@ -121,9 +121,10 @@ class Folder:
 
     def fold(self, frame):
         for name, delta in frame["counters"].items():
-            if isinstance(delta, bool) or not isinstance(delta, int):
+            if isinstance(delta, bool) or not isinstance(delta, int) \
+                    or delta < 0:
                 raise StreamError(f"counter {name!r} delta {delta!r} "
-                                  f"is not an integer")
+                                  f"is not a non-negative integer")
             self.counters[name] = self.counters.get(name, 0) + delta
         for name, dist in frame["distributions"].items():
             self.distributions[name] = dist
@@ -167,6 +168,9 @@ class Folder:
                 if w >= windows:
                     raise StreamError(f"series {name!r} window {w} out of "
                                       f"range ({windows} windows)")
+                if isinstance(v, bool) or not isinstance(v, int) or v < 0:
+                    raise StreamError(f"series {name!r} window {w} value "
+                                      f"{v!r} is not a non-negative integer")
                 points[w] = v
             st["points"] = points
         else:
