@@ -9,9 +9,9 @@
 
 #include <iostream>
 
-#include "core/balancing_router.h"
 #include "graph/connectivity.h"
 #include "routing/adversary.h"
+#include "sim/stack.h"
 #include "topology/transmission_graph.h"
 
 int main() {
@@ -38,33 +38,27 @@ int main() {
   tp.num_destinations = 2;
   const auto trace = route::make_certified_trace(topo, tp, trace_rng);
   const auto params = core::theorem31_params(trace.opt, 0.25, 4.0);
-  std::vector<double> costs(topo.num_edges());
-  for (graph::EdgeId e = 0; e < costs.size(); ++e) costs[e] = topo.edge(e).cost;
 
   sim::Table table("E15 - quantum sweep (n = 64, identical trace)",
                    {"quantum", "delivered", "ratio", "ctrl_msgs",
                     "ctrl_per_delivery", "transit_drops"});
   const route::Time total = trace.horizon() + 12000;
   for (const std::size_t q : {1UL, 2UL, 4UL, 8UL, 16UL, 32UL}) {
-    core::BalancingRouter router(topo.num_nodes(), params, q);
-    route::RunMetrics m;
+    sim::Stack stack(topo, core::BalancingRouter(topo.num_nodes(), params, q));
     for (route::Time t = 0; t < total; ++t) {
-      const auto& step = trace.steps[t % trace.horizon()];
-      const auto txs = router.plan(topo, step.active, costs);
-      router.execute(txs, {}, costs, t, m);
-      if (t < trace.horizon())
-        for (const auto& inj : step.injections) router.inject(inj.packet, m);
-      router.end_step(m);
+      stack.given(trace);
+      stack.finish(trace);
     }
+    const route::RunMetrics& m = stack.metrics();
     table.row(
         {sim::fmt(q), sim::fmt(m.deliveries),
          sim::fmt(static_cast<double>(m.deliveries) /
                       static_cast<double>(trace.opt.deliveries),
                   3),
-         sim::fmt(router.control_messages()),
+         sim::fmt(stack.router().control_messages()),
          sim::fmt(m.deliveries == 0
                       ? 0.0
-                      : static_cast<double>(router.control_messages()) /
+                      : static_cast<double>(stack.router().control_messages()) /
                             static_cast<double>(m.deliveries),
                   2),
          sim::fmt(m.dropped_in_transit)});

@@ -13,11 +13,11 @@
 
 #include <iostream>
 
-#include "core/balancing_router.h"
 #include "core/local_protocol.h"
 #include "core/theta_topology.h"
 #include "graph/connectivity.h"
 #include "sim/mobility.h"
+#include "sim/stack.h"
 #include "sim/stats.h"
 
 int main() {
@@ -42,8 +42,9 @@ int main() {
     sim::RandomWaypoint mobility(arena, n, std::max(1e-6, speed * 0.5),
                                  std::max(2e-6, speed), rng);
 
-    core::BalancingRouter router(n, core::BalancingParams{4.0, 30.0, 512});
-    route::RunMetrics m;
+    const graph::Graph no_links(n);  // routes over N from the first epoch
+    sim::Stack stack(no_links, core::BalancingRouter(n, {4.0, 30.0, 512}));
+    std::vector<route::Packet> arrivals;
     geom::Rng traffic = rng.fork();
     std::uint64_t next_id = 1;
     const graph::NodeId dest = 0;
@@ -52,7 +53,6 @@ int main() {
 
     const int epochs = 40;
     const route::Time steps_per_epoch = 400;
-    route::Time now = 0;
     for (int epoch = 0; epoch < epochs; ++epoch) {
       if (speed > 0.0) mobility.step(static_cast<double>(steps_per_epoch), d, rng);
       const core::ThetaTopology tt(d, bench::kPi / 9.0);
@@ -62,23 +62,19 @@ int main() {
                                          proto.neighborhood_msgs +
                                          proto.connection_msgs));
 
-      std::vector<graph::EdgeId> active(tt.graph().num_edges());
-      for (graph::EdgeId e = 0; e < active.size(); ++e) active[e] = e;
-      std::vector<double> costs(tt.graph().num_edges());
-      for (graph::EdgeId e = 0; e < costs.size(); ++e)
-        costs[e] = tt.graph().edge(e).cost;
-
-      for (route::Time s = 0; s < steps_per_epoch; ++s, ++now) {
-        const auto txs = router.plan(tt.graph(), active, costs);
-        router.execute(txs, {}, costs, now, m);
+      stack.set_topology(tt.graph());
+      for (route::Time s = 0; s < steps_per_epoch; ++s) {
+        stack.all_edges();
+        arrivals.clear();
         if (traffic.bernoulli(0.5)) {
           const auto src = static_cast<graph::NodeId>(
               traffic.uniform_index(n - 1) + 1);
-          router.inject(route::Packet{next_id++, src, dest, now, 0.0, 0}, m);
+          arrivals.push_back({next_id++, src, dest, stack.now(), 0.0, 0});
         }
-        router.end_step(m);
+        stack.finish(arrivals);
       }
     }
+    const route::RunMetrics& m = stack.metrics();
     table.row({sim::fmt(speed, 3), sim::fmt(m.deliveries),
                sim::fmt(m.injected_accepted),
                sim::fmt(m.injected_accepted == 0

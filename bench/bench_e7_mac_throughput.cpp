@@ -14,7 +14,6 @@
 #include "sim/scenarios.h"
 #include "topology/transmission_graph.h"
 #include "graph/connectivity.h"
-#include "sim/scenarios.h"
 
 int main() {
   using namespace thetanet;
@@ -119,15 +118,10 @@ int main() {
     }
     for (const double p_val : {0.05, 0.3, 1.0}) {
       const core::SlottedAlohaMac amac(tt.graph(), d, model, p_val);
-      sim::MacHooks hooks;
-      hooks.activate = [&amac](geom::Rng& r) { return amac.activate(r); };
-      hooks.resolve = [&amac](std::span<const core::PlannedTx> txs) {
-        return amac.resolve(txs);
-      };
       geom::Rng run_rng = rng.fork();
       emit("aloha", p_val,
-           sim::run_custom_mac(trace, tt.graph(), hooks, params, run_rng,
-                               drain));
+           sim::run_randomized_mac(trace, tt.graph(), amac, params, run_rng,
+                                   drain));
     }
   }
   aloha.print(std::cout);

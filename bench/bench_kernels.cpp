@@ -33,12 +33,12 @@
 #include <vector>
 
 #include "common.h"
+#include "common/fnv.h"
 #include "common/parallel.h"
 #include "obs/metrics.h"
 
 #include "core/theta_topology.h"
 #include "interference/model.h"
-#include "topology/distributions.h"
 #include "topology/proximity.h"
 #include "topology/transmission_graph.h"
 
@@ -49,34 +49,13 @@ constexpr double kTheta = std::numbers::pi / 9.0;
 
 topo::Deployment deployment(std::size_t n) {
   geom::Rng rng(0xbe9c4 + n);
-  topo::Deployment d;
-  d.positions = topo::uniform_square(n, 1.0, rng);
-  d.max_range = 1.6 * std::sqrt(std::log(static_cast<double>(n)) /
-                                static_cast<double>(n));
-  d.kappa = 2.0;
-  return d;
+  return bench::uniform_deployment(n, rng);
 }
 
 // FNV-1a over the output so the sweep can assert bit-identical results
 // across thread counts (the parallel layer's determinism contract).
-struct Fnv {
-  std::uint64_t h = 1469598103934665603ull;
-  void mix(std::uint64_t x) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (x >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  }
-  void mix_double(double d) {
-    std::uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(d));
-    std::memcpy(&bits, &d, sizeof(bits));
-    mix(bits);
-  }
-};
-
 std::uint64_t graph_checksum(const graph::Graph& g) {
-  Fnv f;
+  tn::Fnv f;
   f.mix(g.num_edges());
   for (const graph::Edge& e : g.edges()) {
     f.mix(e.u);
@@ -117,7 +96,7 @@ struct SweepKernel {
 std::uint64_t run_sector_table(const topo::Deployment& d,
                                const graph::Graph&) {
   const topo::SectorTable t = topo::compute_sector_table(d, kTheta);
-  Fnv f;
+  tn::Fnv f;
   for (graph::NodeId u = 0; u < d.size(); ++u)
     for (int s = 0; s < t.sectors(); ++s) f.mix(t.nearest(u, s));
   return f.h;
@@ -141,7 +120,7 @@ std::uint64_t run_interference_sets(const topo::Deployment& d,
                                     const graph::Graph& theta) {
   const interf::InterferenceModel m{1.0};
   const auto sets = interf::interference_sets(theta, d, m);
-  Fnv f;
+  tn::Fnv f;
   f.mix(sets.size());
   for (const auto& s : sets) {
     f.mix(s.size());
@@ -153,7 +132,7 @@ std::uint64_t run_interference_sets(const topo::Deployment& d,
 std::uint64_t run_interference_sizes(const topo::Deployment& d,
                                      const graph::Graph& theta) {
   const interf::InterferenceModel m{1.0};
-  Fnv f;
+  tn::Fnv f;
   for (const std::uint32_t s : interf::interference_set_sizes(theta, d, m))
     f.mix(s);
   return f.h;

@@ -14,11 +14,11 @@
 #include <iostream>
 #include <numbers>
 
-#include "core/balancing_router.h"
 #include "core/local_protocol.h"
 #include "core/theta_topology.h"
 #include "graph/connectivity.h"
 #include "sim/mobility.h"
+#include "sim/stack.h"
 #include "sim/table.h"
 #include "topology/distributions.h"
 #include "topology/transmission_graph.h"
@@ -42,8 +42,10 @@ int main(int argc, char** argv) {
 
   // One router lives across all epochs; packets in flight survive topology
   // changes (Section 3.1's model).
-  core::BalancingRouter router(n, core::BalancingParams{4.0, 30.0, 512});
-  route::RunMetrics metrics;
+  const graph::Graph no_links(n);  // routes over N from the first epoch
+  sim::Stack stack(no_links, core::BalancingRouter(n, {4.0, 30.0, 512}));
+  const route::RunMetrics& metrics = stack.metrics();
+  std::vector<route::Packet> arrivals;
   geom::Rng traffic_rng = rng.fork();
   std::uint64_t next_packet = 1;
   const route::DestId convoy_lead = 0;
@@ -52,7 +54,6 @@ int main(int argc, char** argv) {
                    {"epoch", "G*_edges", "N_edges", "N_maxdeg", "connected",
                     "proto_msgs", "delivered_so_far", "in_flight"});
   const route::Time steps_per_epoch = 600;
-  route::Time now = 0;
   for (int epoch = 0; epoch < epochs; ++epoch) {
     // Vehicles move, then the topology-control layer rebuilds N locally.
     mobility.step(1.0, d, rng);
@@ -63,22 +64,17 @@ int main(int argc, char** argv) {
 
     // Per-step: all N edges usable (dedicated MAC assumed, Section 3.2);
     // a couple of status packets per step stream towards the convoy lead.
-    std::vector<graph::EdgeId> active(tt.graph().num_edges());
-    for (graph::EdgeId e = 0; e < active.size(); ++e) active[e] = e;
-    std::vector<double> costs(tt.graph().num_edges());
-    for (graph::EdgeId e = 0; e < costs.size(); ++e)
-      costs[e] = tt.graph().edge(e).cost;
-
-    for (route::Time s = 0; s < steps_per_epoch; ++s, ++now) {
-      const auto txs = router.plan(tt.graph(), active, costs);
-      router.execute(txs, {}, costs, now, metrics);
+    stack.set_topology(tt.graph());
+    for (route::Time s = 0; s < steps_per_epoch; ++s) {
+      stack.all_edges();
+      arrivals.clear();
       if (traffic_rng.bernoulli(0.8)) {
         auto src = static_cast<graph::NodeId>(
             traffic_rng.uniform_index(n - 1) + 1);
-        router.inject(route::Packet{next_packet++, src, convoy_lead, now, 0.0, 0},
-                      metrics);
+        arrivals.push_back(
+            {next_packet++, src, convoy_lead, stack.now(), 0.0, 0});
       }
-      router.end_step(metrics);
+      stack.finish(arrivals);
     }
 
     table.row({sim::fmt(epoch), sim::fmt(gstar.num_edges()),
@@ -88,7 +84,7 @@ int main(int argc, char** argv) {
                sim::fmt(proto.position_msgs + proto.neighborhood_msgs +
                         proto.connection_msgs),
                sim::fmt(metrics.deliveries),
-               sim::fmt(router.packets_in_flight())});
+               sim::fmt(stack.router().packets_in_flight())});
   }
   table.print(std::cout);
   std::printf("%zu of %zu injected packets delivered across %d topology "
@@ -96,7 +92,7 @@ int main(int argc, char** argv) {
               "flight.\n",
               metrics.deliveries, metrics.injected_accepted, epochs,
               metrics.avg_hops(), metrics.avg_latency(),
-              router.packets_in_flight());
+              stack.router().packets_in_flight());
   std::printf("proto_msgs is the total Position/Neighborhood/Connection "
               "messages ThetaALG needed per epoch — O(n), independent of "
               "the diameter.\n");

@@ -132,7 +132,9 @@ class Parser {
       if (!val) return std::nullopt;
       obj.emplace(key->string(), std::move(*val));
       if (consume(',')) continue;
-      if (consume('}')) return JsonValue{std::move(obj)};
+      // In place: a moved-from temporary draws a false GCC 12 warning.
+      if (consume('}'))
+        return std::optional<JsonValue>(std::in_place, std::move(obj));
       fail("expected ',' or '}' in object");
       return std::nullopt;
     }

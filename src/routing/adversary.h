@@ -19,6 +19,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/assert.h"
 #include "geom/rng.h"
 #include "graph/graph.h"
 #include "routing/packet.h"
@@ -125,6 +126,14 @@ struct AdversaryTrace {
   OptStats opt;  ///< filled by the certified generators / replay
 
   Time horizon() const { return static_cast<Time>(steps.size()); }
+
+  /// Step t; past the horizon the steps repeat, so a drain window keeps the
+  /// activation patterns the network had online. Needs a non-empty trace.
+  const StepSpec& step_at(Time t) const {
+    const Time h = horizon();
+    TN_ASSERT(h > 0);
+    return steps[t < h ? t : t % h];
+  }
 
   /// Per-step effective edge costs (base cost with overrides applied).
   std::vector<double> costs_at(Time t) const;

@@ -12,18 +12,6 @@
 #include "graph/shortest_paths.h"
 
 namespace thetanet::route {
-namespace {
-
-/// Cycles through the trace's activation pattern during the drain window,
-/// mirroring run_mac_given's behaviour so the comparisons are fair.
-const StepSpec& step_at(const AdversaryTrace& trace, Time t) {
-  const Time h = trace.horizon();
-  TN_ASSERT(h > 0);
-  return trace.steps[t < h ? t : t % h];
-}
-
-}  // namespace
-
 BaselineResult run_greedy_geographic(const AdversaryTrace& trace,
                                      const topo::Deployment& d,
                                      const graph::Graph& topo,
@@ -98,7 +86,7 @@ GpsrResult run_gpsr(const AdversaryTrace& trace, const topo::Deployment& d,
 
   const Time total = trace.horizon() + extra_drain;
   for (Time t = 0; t < total; ++t) {
-    const StepSpec& step = step_at(trace, t);
+    const StepSpec& step = trace.step_at(t);
     for (const graph::EdgeId e : step.active) active[e] = true;
     for (graph::EdgeId pe = 0; pe < planar.num_edges(); ++pe)
       planar_active[pe] = planar_to_topo[pe] != graph::kInvalidEdge &&
@@ -313,7 +301,7 @@ BaselineResult run_source_routing(const AdversaryTrace& trace,
 
   const Time total = trace.horizon() + extra_drain;
   for (Time t = 0; t < total; ++t) {
-    const StepSpec& step = step_at(trace, t);
+    const StepSpec& step = trace.step_at(t);
 
     // One packet per active edge per direction.
     std::vector<std::pair<graph::NodeId, Flight>> arrivals;

@@ -1,16 +1,17 @@
 #include "serve/soak.h"
 
 #include <cmath>
-#include <memory>
 #include <ostream>
+#include <utility>
 
-#include "core/balancing_router.h"
+#include "common/fnv.h"
 #include "graph/connectivity.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "obs/timeseries.h"
 #include "obs/stream.h"
 #include "obs/trace_sink.h"
+#include "sim/stack.h"
 #include "topology/distributions.h"
 #include "topology/transmission_graph.h"
 
@@ -31,34 +32,15 @@ topo::Deployment soak_deployment(std::size_t n, std::uint64_t seed) {
 /// One same-seed replica of the full stack. Shard 0 records telemetry;
 /// replicas step with recording suspended and only contribute checksums.
 struct Shard {
-  std::unique_ptr<core::BalancingRouter> router;
-  std::unique_ptr<route::InjectionEngine> engine;
-  route::RunMetrics m;
-  Fnv checksum;
-  std::vector<core::PlannedTx> txs;
-  std::vector<route::Packet> arrivals;
+  sim::Stack stack;
+  route::InjectionEngine engine;
+  tn::Fnv checksum;
 };
 
-void mix_txs(Fnv& f, const std::vector<core::PlannedTx>& txs) {
-  f.mix(txs.size());
-  for (const core::PlannedTx& tx : txs) {
-    f.mix(tx.edge);
-    f.mix(tx.from);
-    f.mix(tx.dest);
-    f.mix_double(tx.benefit);
-  }
-}
-
-void step_shard(Shard& s, const graph::Graph& g,
-                std::span<const double> costs, std::uint64_t t) {
-  const auto now = static_cast<route::Time>(t);
-  const std::vector<bool> no_failures;
-  s.router->plan_all_edges_into(g, costs, s.txs);
-  mix_txs(s.checksum, s.txs);
-  s.router->execute(s.txs, no_failures, costs, now, s.m);
-  s.engine->step(now, s.m, s.arrivals);
-  for (const route::Packet& p : s.arrivals) s.router->inject(p, s.m);
-  s.router->end_step(s.m);
+void step_shard(Shard& s) {
+  s.stack.all_edges();
+  tn::mix_txs(s.checksum, s.stack.txs());
+  s.stack.finish(s.engine);
 }
 
 }  // namespace
@@ -82,19 +64,16 @@ SoakResult run_soak(const SoakSpec& spec, std::ostream& frames_out) {
     g = topo::build_transmission_graph(d);
   }
 
-  std::vector<double> costs(g.num_edges());
-  for (graph::EdgeId e = 0; e < costs.size(); ++e) costs[e] = g.edge(e).cost;
-
   const core::BalancingParams params{spec.threshold, spec.gamma,
                                      spec.max_height};
   const int num_shards = spec.shards < 1 ? 1 : spec.shards;
-  std::vector<Shard> shards(static_cast<std::size_t>(num_shards));
-  for (Shard& s : shards) {
-    s.router = std::make_unique<core::BalancingRouter>(g.num_nodes(), params,
-                                                       spec.quantum);
+  std::vector<Shard> shards;
+  for (int i = 0; i < num_shards; ++i) {
+    core::BalancingRouter router(g.num_nodes(), params, spec.quantum);
     if (spec.plant_leak)
-      s.router->buffers_for_fault_injection().plant_pool_leak(true);
-    s.engine = std::make_unique<route::InjectionEngine>(g, spec.inject);
+      router.buffers_for_fault_injection().plant_pool_leak(true);
+    shards.push_back({sim::Stack(g, std::move(router)),
+                      route::InjectionEngine(g, spec.inject), {}});
   }
 
   DriftWatchdog watchdog(spec.watchdog, spec.rounds);
@@ -104,13 +83,13 @@ SoakResult run_soak(const SoakSpec& spec, std::ostream& frames_out) {
 
   const std::uint64_t interval = std::max<std::uint64_t>(1, spec.interval);
   for (std::uint64_t t = 0; t < spec.rounds; ++t) {
-    step_shard(shards[0], g, costs, t);
+    step_shard(shards[0]);
     if (shards.size() > 1) {
       // Replicas re-execute the identical round; suspending recording keeps
       // the dump describing exactly one run's worth of events.
       obs::set_recording(false);
       for (std::size_t i = 1; i < shards.size(); ++i)
-        step_shard(shards[i], g, costs, t);
+        step_shard(shards[i]);
       obs::set_recording(true);
     }
     if ((t + 1) % interval == 0 || t + 1 == spec.rounds) {
@@ -148,9 +127,9 @@ SoakResult run_soak(const SoakSpec& spec, std::ostream& frames_out) {
   const Shard& s0 = shards[0];
   out.frames = streamer.frames_emitted();
   out.rounds = spec.rounds;
-  out.deliveries = s0.m.deliveries;
-  out.injected_accepted = s0.m.injected_accepted;
-  out.leftover = s0.router->packets_in_flight();
+  out.deliveries = s0.stack.metrics().deliveries;
+  out.injected_accepted = s0.stack.metrics().injected_accepted;
+  out.leftover = s0.stack.router().packets_in_flight();
   out.checksum = s0.checksum.h;
   out.warm_rss_mb = watchdog.warm_rss_mb();
   out.peak_rss_mb = peak_rss_mb();

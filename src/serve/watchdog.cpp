@@ -4,20 +4,12 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <numeric>
 #include <utility>
 
 #include "obs/metrics.h"
 
 namespace thetanet::serve {
-
-void Fnv::mix_double(double d) {
-  std::uint64_t bits = 0;
-  static_assert(sizeof bits == sizeof d);
-  std::memcpy(&bits, &d, sizeof bits);
-  mix(bits);
-}
 
 double peak_rss_mb() {
   rusage u{};

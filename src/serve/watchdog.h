@@ -27,19 +27,6 @@
 
 namespace thetanet::serve {
 
-/// Rolling FNV-1a mix — the planned-tx checksum shared by the soak loop,
-/// bench_router, and the drift check.
-struct Fnv {
-  std::uint64_t h = 1469598103934665603ull;
-  void mix(std::uint64_t x) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (x >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  }
-  void mix_double(double d);
-};
-
 /// Current peak RSS of the process in MiB (getrusage; monotone).
 double peak_rss_mb();
 

@@ -13,8 +13,6 @@
 // Every driver consumes a certified AdversaryTrace (routing/adversary.h),
 // whose OptStats give the exact competitive-ratio denominators.
 
-#include <functional>
-
 #include "core/balancing_router.h"
 #include "core/honeycomb.h"
 #include "core/interference_mac.h"
@@ -58,26 +56,15 @@ ScenarioResult run_mac_given(const route::AdversaryTrace& trace,
                              core::DestinationPredicate dest_pred = {});
 
 /// Scenario 2. The router runs on `run_topo` (which may differ from the
-/// trace topology, e.g. ThetaALG's N while OPT was certified on G*); the
-/// RandomizedMac decides activations and collisions. Cost overrides in the
-/// trace are ignored (costs are the topology's energy costs).
+/// trace topology, e.g. ThetaALG's N while OPT was certified on G*); the MAC
+/// decides activations and collisions: core::RandomizedMac, or the
+/// interference-oblivious core::SlottedAlohaMac ablation. Cost overrides in
+/// the trace are ignored (costs are the topology's energy costs).
+template <class Mac>
 ScenarioResult run_randomized_mac(const route::AdversaryTrace& trace,
-                                  const graph::Graph& run_topo,
-                                  const core::RandomizedMac& mac,
+                                  const graph::Graph& run_topo, const Mac& mac,
                                   const core::BalancingParams& params,
                                   geom::Rng& rng, route::Time extra_drain = 0);
-
-/// Scenario 2 with any MAC exposing activate(rng) / resolve(txs) — used for
-/// the slotted-ALOHA ablation (core::SlottedAlohaMac) and custom policies.
-struct MacHooks {
-  std::function<std::vector<graph::EdgeId>(geom::Rng&)> activate;
-  std::function<std::vector<bool>(std::span<const core::PlannedTx>)> resolve;
-};
-ScenarioResult run_custom_mac(const route::AdversaryTrace& trace,
-                              const graph::Graph& run_topo,
-                              const MacHooks& mac,
-                              const core::BalancingParams& params,
-                              geom::Rng& rng, route::Time extra_drain = 0);
 
 /// Scenario 3. Fixed transmission strength: `unit_graph` is the range-1
 /// transmission graph the HoneycombMac was built over.

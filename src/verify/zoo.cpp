@@ -124,7 +124,7 @@ CheckReport check_compass_adjacent(const graph::Graph& g,
   for (graph::EdgeId e = 0; e < budget; ++e) {
     const graph::Edge ed = g.edge(e);
     if (ed.length == 0.0) continue;  // coincident pair: ratio undefined
-    for (const auto [s, t] : {std::pair(ed.u, ed.v), std::pair(ed.v, ed.u)}) {
+    for (const auto& [s, t] : {std::pair(ed.u, ed.v), std::pair(ed.v, ed.u)}) {
       ++r.checks;
       const route::LocalRouteResult res = route::local_route(g, d, s, t, lr);
       if (!res.delivered) {

@@ -111,7 +111,9 @@ TEST(TransformSchedule, EveryGStarEdgeBecomesItsThetaPathInOrder) {
       for (std::size_t k = 0; k < path.size(); ++k)
         if (path[k] == e) when[k] = s;
   for (std::size_t k = 1; k < path.size(); ++k)
-    if (path[k] != path[k - 1]) EXPECT_GT(when[k], when[k - 1]) << "hop " << k;
+    if (path[k] != path[k - 1]) {
+      EXPECT_GT(when[k], when[k - 1]) << "hop " << k;
+    }
 }
 
 TEST(TransformSchedule, CausalityBarrierBetweenGStarSteps) {

@@ -337,7 +337,7 @@ TEST(ThetaMaintainerChurn, ConcurrentCheckerEvaluation) {
   }
   std::vector<std::thread> workers;
   std::vector<int> ok(4, 0);
-  for (int t = 0; t < 4; ++t)
+  for (std::size_t t = 0; t < 4; ++t)
     workers.emplace_back([&maintainer, &ok, t] {
       bool all = true;
       for (int rep = 0; rep < 8; ++rep) {
@@ -350,7 +350,7 @@ TEST(ThetaMaintainerChurn, ConcurrentCheckerEvaluation) {
       ok[t] = all ? 1 : 0;
     });
   for (std::thread& w : workers) w.join();
-  for (int t = 0; t < 4; ++t) EXPECT_EQ(ok[t], 1) << "worker " << t;
+  for (std::size_t t = 0; t < 4; ++t) EXPECT_EQ(ok[t], 1) << "worker " << t;
 }
 
 }  // namespace

@@ -148,9 +148,10 @@ TEST(ThetaTopology, AdmittedEdgesExistAndAreShortestSelectors) {
         if (u == v || u == w || !d.in_range(u, v)) continue;
         if (geom::sector_index(d.positions[v], d.positions[u], theta) != s)
           continue;
-        if (tt.selects(u, v))
+        if (tt.selects(u, v)) {
           EXPECT_TRUE(topo::nearer(d, v, w, u))
               << "admitted " << w << " not nearest selector at " << v;
+        }
       }
     }
   }

@@ -98,9 +98,10 @@ TEST(Delaunay, LocalDelaunayProperty) {
         if (w == u || w == v) continue;
         if (in_gabriel_disk(pts[u], pts[v], pts[w])) gabriel = false;
       }
-      if (gabriel)
+      if (gabriel) {
         EXPECT_TRUE(set.count({u, v}))
             << "Gabriel edge (" << u << "," << v << ") missing from Delaunay";
+      }
     }
   }
 }
@@ -125,8 +126,12 @@ TEST(Delaunay, GridOfPoints) {
   std::set<std::pair<std::uint32_t, std::uint32_t>> set(edges.begin(),
                                                         edges.end());
   for (std::uint32_t i = 0; i < pts.size(); ++i) {
-    if (i % 6 != 5) EXPECT_TRUE(set.count({i, i + 1}));
-    if (i + 6 < pts.size()) EXPECT_TRUE(set.count({i, i + 6}));
+    if (i % 6 != 5) {
+      EXPECT_TRUE(set.count({i, i + 1}));
+    }
+    if (i + 6 < pts.size()) {
+      EXPECT_TRUE(set.count({i, i + 6}));
+    }
   }
 }
 

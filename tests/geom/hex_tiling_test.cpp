@@ -99,9 +99,10 @@ TEST(HexTiling, PointsInSameCellAreWithinDiameter) {
   }
   for (std::size_t i = 0; i < samples.size(); i += 37) {
     for (std::size_t j = i + 1; j < samples.size(); ++j) {
-      if (samples[i].first == samples[j].first)
+      if (samples[i].first == samples[j].first) {
         ASSERT_LE(dist(samples[i].second, samples[j].second),
                   t.max_intra_cell_distance() + 1e-9);
+      }
     }
   }
 }

@@ -52,7 +52,9 @@ TEST(CertifiedAdversary, EveryInjectionCarriesAValidSchedule) {
       EXPECT_EQ(at, inj.packet.dst);
     }
     // No injections during drain.
-    if (t >= p.horizon) EXPECT_TRUE(trace.steps[t].injections.empty());
+    if (t >= p.horizon) {
+      EXPECT_TRUE(trace.steps[t].injections.empty());
+    }
   }
   EXPECT_GT(injections, 0U);
   EXPECT_EQ(trace.opt.deliveries, injections);
@@ -146,6 +148,24 @@ TEST(CertifiedAdversary, CostsAtAppliesOverrides) {
   EXPECT_DOUBLE_EQ(c1[1], 4.0);
   // Past the horizon: base costs.
   EXPECT_DOUBLE_EQ(trace.costs_at(7)[0], 1.0);
+}
+
+TEST(CertifiedAdversary, StepAtCyclesPastTheHorizon) {
+  graph::GraphBuilder b(2);
+  b.add_edge(0, 1, 1.0, 1.0);
+  const graph::Graph topo = std::move(b).build();
+  AdversaryTrace trace;
+  trace.topology = &topo;
+  trace.steps.resize(3);
+  trace.steps.edit(1).active = {0};
+  // Inside the horizon: the step itself.
+  EXPECT_TRUE(trace.step_at(0).active.empty());
+  EXPECT_EQ(&trace.step_at(1), &trace.steps[1]);
+  EXPECT_EQ(trace.step_at(1).active, std::vector<graph::EdgeId>{0});
+  // Past it: t % horizon, so the activation pattern repeats.
+  EXPECT_EQ(&trace.step_at(4), &trace.steps[1]);
+  EXPECT_EQ(&trace.step_at(7), &trace.steps[1]);
+  EXPECT_TRUE(trace.step_at(3).active.empty());
 }
 
 TEST(CertifiedAdversary, NoiseEdgesExpandActiveSets) {

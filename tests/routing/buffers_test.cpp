@@ -98,7 +98,7 @@ TEST(BufferBank, MergedPairScan) {
 
 TEST(BufferBank, PeakTracksPops) {
   BufferBank b(2, 8);
-  for (int i = 0; i < 5; ++i) b.push(0, mk(10 + i, 0, 1));
+  for (std::uint64_t i = 0; i < 5; ++i) b.push(0, mk(10 + i, 0, 1));
   b.push(0, mk(20, 0, 3));
   EXPECT_EQ(b.peak_height(), 5U);
   b.pop(0, 1);
@@ -123,7 +123,9 @@ TEST(BufferBank, PoolRecyclesSlots) {
                                static_cast<DestId>(1 + (i % 3)))));
     for (int i = 0; i < 8; ++i) {
       const DestId d = static_cast<DestId>(1 + (i % 3));
-      if (b.height(0, d) > 0) ASSERT_TRUE(b.pop(0, d).has_value());
+      if (b.height(0, d) > 0) {
+        ASSERT_TRUE(b.pop(0, d).has_value());
+      }
     }
   }
   EXPECT_EQ(b.total_packets(), 0U);
@@ -140,7 +142,9 @@ TEST(BufferBank, TombstoneCompaction) {
   // array must compact (observable via correct scans; heights stay exact).
   for (DestId d = 1; d <= 40; ++d) ASSERT_TRUE(b.push(0, mk(d, 0, d)));
   for (DestId d = 1; d <= 40; ++d)
-    if (d % 10 != 0) ASSERT_TRUE(b.pop(0, d).has_value());
+    if (d % 10 != 0) {
+      ASSERT_TRUE(b.pop(0, d).has_value());
+    }
   EXPECT_EQ(live_dests(b, 0), (std::vector<DestId>{10, 20, 30, 40}));
   EXPECT_EQ(b.live_destinations(0), 4U);
   for (DestId d = 1; d <= 40; ++d)

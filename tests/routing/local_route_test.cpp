@@ -73,7 +73,7 @@ TEST(LocalRoute, CompassAdjacentPairsOnGstarHaveUnitRatio) {
   lr.policy = route::LocalPolicy::kCompass;
   for (graph::EdgeId e = 0; e < g.num_edges(); ++e) {
     const graph::Edge ed = g.edge(e);
-    for (const auto [s, t] : {std::pair(ed.u, ed.v), std::pair(ed.v, ed.u)}) {
+    for (const auto& [s, t] : {std::pair(ed.u, ed.v), std::pair(ed.v, ed.u)}) {
       const route::LocalRouteResult r = route::local_route(g, d, s, t, lr);
       ASSERT_TRUE(r.delivered) << "pair " << s << "->" << t;
       EXPECT_LE(r.length / ed.length, 1.0 + 1e-9);

@@ -56,8 +56,9 @@ TEST_P(TraceProperty, SlackAndRateAndReplay) {
   // the network is saturated they land within 50% of it.
   const double nominal = rate * static_cast<double>(p.horizon);
   EXPECT_LE(static_cast<double>(injections), nominal + 3.0 * std::sqrt(nominal) + 1.0);
-  if (rate <= 1.0)
+  if (rate <= 1.0) {
     EXPECT_GE(static_cast<double>(injections), 0.5 * nominal);
+  }
 
   // Replay agreement.
   const OptStats replayed = replay_schedules(trace);

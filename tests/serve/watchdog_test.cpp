@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/fnv.h"
 #include "obs/metrics.h"
 
 namespace thetanet::serve {
@@ -119,7 +120,7 @@ TEST_F(WatchdogTest, MissingCounterReadsZeroAndNeverTrips) {
 }
 
 TEST_F(WatchdogTest, FnvIsOrderSensitiveAndDeterministic) {
-  Fnv a, b, c;
+  tn::Fnv a, b, c;
   a.mix(1);
   a.mix(2);
   b.mix(1);
@@ -128,7 +129,7 @@ TEST_F(WatchdogTest, FnvIsOrderSensitiveAndDeterministic) {
   c.mix(1);
   EXPECT_EQ(a.h, b.h);
   EXPECT_NE(a.h, c.h);
-  Fnv d, e;
+  tn::Fnv d, e;
   d.mix_double(0.5);
   e.mix_double(-0.5);
   EXPECT_NE(d.h, e.h);

@@ -1,6 +1,7 @@
 // Edge-case coverage for the scenario drivers: cost-override accounting,
-// drain-cycling semantics, custom-MAC hooks, the ratio helpers, and tiny-n /
-// degenerate inputs for every conformance scenario builder.
+// drain-cycling semantics, a scripted MAC driving sim::Stack, the ratio
+// helpers, and tiny-n / degenerate inputs for every conformance scenario
+// builder.
 
 #include <gtest/gtest.h>
 
@@ -8,6 +9,7 @@
 #include <utility>
 
 #include "sim/scenarios.h"
+#include "sim/stack.h"
 #include "verify/conformance.h"
 #include "verify/scenario.h"
 
@@ -91,29 +93,34 @@ TEST(ScenarioEdge, DrainCyclesTheActivationPattern) {
   EXPECT_EQ(drained.metrics.deliveries, 1U);
 }
 
-TEST(ScenarioEdge, CustomMacHooksDriveTheRun) {
-  Tiny w(8);
-  // A hook MAC that activates the edge only on even steps and fails every
-  // second transmission.
-  int resolve_calls = 0;
-  Time step = 0;
-  MacHooks hooks;
-  hooks.activate = [&step](geom::Rng&) {
-    const bool on = (step % 2) == 0;
-    ++step;
-    return on ? std::vector<graph::EdgeId>{0} : std::vector<graph::EdgeId>{};
-  };
-  hooks.resolve = [&resolve_calls](std::span<const core::PlannedTx> txs) {
+/// A scripted self-activating MAC: the edge is usable only on even steps,
+/// and every second transmission collides.
+struct ScriptedMac {
+  mutable Time step = 0;
+  mutable int resolve_calls = 0;
+  std::vector<graph::EdgeId> activate(geom::Rng&) const {
+    return step++ % 2 == 0 ? std::vector<graph::EdgeId>{0}
+                           : std::vector<graph::EdgeId>{};
+  }
+  std::vector<bool> resolve(std::span<const core::PlannedTx> txs) const {
     std::vector<bool> failed(txs.size(), false);
     if (!txs.empty() && (++resolve_calls % 2) == 1) failed[0] = true;
     return failed;
-  };
+  }
+};
+
+TEST(ScenarioEdge, ScriptedMacDrivesTheStack) {
+  Tiny w(8);
+  const ScriptedMac mac;
   geom::Rng rng(1);
-  const core::BalancingParams params{0.5, 0.0, 8};
-  const auto res = run_custom_mac(w.trace, w.g, hooks, params, rng, 8);
-  EXPECT_EQ(res.metrics.deliveries, 1U);
-  EXPECT_GE(res.metrics.failed_tx, 1U);  // the first attempt collided
-  EXPECT_GT(res.metrics.wasted_energy, 0.0);
+  Stack stack(w.g, core::BalancingRouter(2, {0.5, 0.0, 8}));
+  for (Time t = 0; t < w.trace.horizon() + 8; ++t) {
+    stack.randomized(mac, rng);
+    stack.finish(w.trace);
+  }
+  EXPECT_EQ(stack.metrics().deliveries, 1U);
+  EXPECT_GE(stack.metrics().failed_tx, 1U);  // the first attempt collided
+  EXPECT_GT(stack.metrics().wasted_energy, 0.0);
 }
 
 TEST(ScenarioEdge, EmptyTraceIsANoOp) {

@@ -52,7 +52,9 @@ TEST(SectorTable, SelectsAgreesWithNearest) {
   for (graph::NodeId u = 0; u < d.size(); ++u)
     for (int s = 0; s < table.sectors(); ++s) {
       const graph::NodeId v = table.nearest(u, s);
-      if (v != graph::kInvalidNode) EXPECT_TRUE(table.selects(u, v, d, theta));
+      if (v != graph::kInvalidNode) {
+        EXPECT_TRUE(table.selects(u, v, d, theta));
+      }
     }
 }
 
