@@ -9,18 +9,11 @@ namespace thetanet::core {
 RandomizedMac::RandomizedMac(const graph::Graph& topo,
                              const topo::Deployment& d,
                              const interf::InterferenceModel& model)
-    : topo_(&topo), deployment_(&d), model_(model) {
-  const auto sets = interf::interference_sets(topo, d, model);
-  std::vector<std::uint32_t> sizes(sets.size());
-  for (std::size_t e = 0; e < sets.size(); ++e)
-    sizes[e] = static_cast<std::uint32_t>(sets[e].size());
-  bounds_.resize(sets.size());
-  for (std::size_t e = 0; e < sets.size(); ++e) {
-    std::uint32_t b = std::max<std::uint32_t>(1, sizes[e]);
-    for (const graph::EdgeId ep : sets[e]) b = std::max(b, sizes[ep]);
-    bounds_[e] = b;
-    max_bound_ = std::max(max_bound_, b);
-  }
+    : topo_(&topo),
+      deployment_(&d),
+      model_(model),
+      bounds_(interf::interference_bounds(topo, d, model)) {
+  for (const std::uint32_t b : bounds_) max_bound_ = std::max(max_bound_, b);
   cuts_.resize(bounds_.size());
   for (std::size_t e = 0; e < bounds_.size(); ++e)
     cuts_[e] = geom::Rng::bernoulli_cut(

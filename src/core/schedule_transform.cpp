@@ -1,11 +1,31 @@
 #include "core/schedule_transform.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "common/assert.h"
 
 namespace thetanet::core {
+
+namespace {
+
+/// True iff edge e of g may not join `step`: it is already there (one
+/// packet per edge per step), or it lies in the interference set of an edge
+/// that is (the Section 2.4 pairwise test).
+bool conflicts(const graph::Graph& g, const topo::Deployment& d,
+               const interf::InterferenceModel& model,
+               const std::vector<graph::EdgeId>& step, graph::EdgeId e) {
+  const graph::Edge& a = g.edge(e);
+  for (const graph::EdgeId other : step) {
+    const graph::Edge& b = g.edge(other);
+    if (other == e ||
+        model.in_interference_set(d.positions[a.u], d.positions[a.v],
+                                  d.positions[b.u], d.positions[b.v]))
+      return true;
+  }
+  return false;
+}
+
+}  // namespace
 
 TransformResult transform_schedule(const ThetaTopology& topology,
                                    const graph::Graph& gstar,
@@ -15,29 +35,17 @@ TransformResult transform_schedule(const ThetaTopology& topology,
   const graph::Graph& n_graph = topology.graph();
   TransformResult result;
   result.gstar_steps = schedule.size();
-
-  // N's interference sets drive both the conflict checks and the reported I.
-  const auto sets = interf::interference_sets(n_graph, d, model);
-  for (const auto& s : sets)
-    result.interference_number = std::max(
-        result.interference_number, static_cast<std::uint32_t>(s.size()));
+  result.interference_number = interf::interference_number(n_graph, d, model);
 
   // occupied[s] = N edges transmitting in produced step s.
-  std::vector<std::unordered_set<graph::EdgeId>> occupied;
-  const auto conflict_free = [&](std::size_t s, graph::EdgeId e) {
-    const auto& step = occupied[s];
-    if (step.count(e) != 0) return false;  // one packet per edge per step
-    for (const graph::EdgeId other : sets[e])
-      if (step.count(other) != 0) return false;
-    return true;
-  };
+  std::vector<std::vector<graph::EdgeId>> occupied;
   const auto place = [&](graph::EdgeId e, std::size_t earliest) {
     std::size_t s = earliest;
     for (;; ++s) {
       if (s >= occupied.size()) occupied.resize(s + 1);
-      if (conflict_free(s, e)) break;
+      if (!conflicts(n_graph, d, model, occupied[s], e)) break;
     }
-    occupied[s].insert(e);
+    occupied[s].push_back(e);
     ++result.transmissions;
     return s;
   };
@@ -64,10 +72,9 @@ TransformResult transform_schedule(const ThetaTopology& topology,
 
   result.n_steps = occupied.size();
   result.n_schedule.reserve(occupied.size());
-  for (const auto& step : occupied) {
-    std::vector<graph::EdgeId> edges(step.begin(), step.end());
-    std::sort(edges.begin(), edges.end());
-    result.n_schedule.push_back(std::move(edges));
+  for (std::vector<graph::EdgeId>& step : occupied) {
+    std::sort(step.begin(), step.end());
+    result.n_schedule.push_back(std::move(step));
   }
   return result;
 }
@@ -75,26 +82,18 @@ TransformResult transform_schedule(const ThetaTopology& topology,
 std::vector<GStarStep> random_noninterfering_schedule(
     const graph::Graph& gstar, const topo::Deployment& d,
     const interf::InterferenceModel& model, std::size_t steps, geom::Rng& rng) {
-  // Precompute G*'s interference sets once; each step is then a greedy
-  // maximal independent set in the interference graph, built in a fresh
-  // random scan order.
-  const auto sets = interf::interference_sets(gstar, d, model);
+  // Each step is a greedy maximal independent set in G*'s interference
+  // graph, built in a fresh random scan order.
   std::vector<GStarStep> schedule;
   schedule.reserve(steps);
   std::vector<graph::EdgeId> order(gstar.num_edges());
   for (graph::EdgeId e = 0; e < order.size(); ++e) order[e] = e;
-  std::vector<bool> blocked(gstar.num_edges());
   for (std::size_t s = 0; s < steps; ++s) {
     for (std::size_t i = order.size(); i > 1; --i)
       std::swap(order[i - 1], order[rng.uniform_index(i)]);
-    std::fill(blocked.begin(), blocked.end(), false);
     GStarStep step;
-    for (const graph::EdgeId e : order) {
-      if (blocked[e]) continue;
-      step.push_back(e);
-      blocked[e] = true;
-      for (const graph::EdgeId other : sets[e]) blocked[other] = true;
-    }
+    for (const graph::EdgeId e : order)
+      if (!conflicts(gstar, d, model, step, e)) step.push_back(e);
     std::sort(step.begin(), step.end());
     schedule.push_back(std::move(step));
   }

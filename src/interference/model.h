@@ -48,11 +48,13 @@ std::vector<std::uint32_t> interference_set_sizes(const graph::Graph& g,
                                                   const topo::Deployment& d,
                                                   const InterferenceModel& m);
 
-/// Full interference sets (edge ids), same algorithm. Heavier; used by the
-/// MAC layer which needs the actual sets.
-std::vector<std::vector<graph::EdgeId>> interference_sets(
-    const graph::Graph& g, const topo::Deployment& d,
-    const InterferenceModel& m);
+/// I_e = max{ |I(e')| : e' in I(e) or e' = e }, floored at 1, for every
+/// edge of g: the bound the Section 3.3 MAC activates with. Same grid walk
+/// as interference_set_sizes, run twice (sizes, then the max over each
+/// interfering pair); no set is materialized.
+std::vector<std::uint32_t> interference_bounds(const graph::Graph& g,
+                                               const topo::Deployment& d,
+                                               const InterferenceModel& m);
 
 /// max_e |I(e)| — the interference number of the topology.
 std::uint32_t interference_number(const graph::Graph& g,

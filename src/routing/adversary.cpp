@@ -6,7 +6,6 @@
 #include <set>
 
 #include "common/assert.h"
-#include "graph/edge_costs.h"
 #include "graph/shortest_paths.h"
 #include "routing/anycast.h"
 
@@ -49,14 +48,6 @@ std::vector<std::uint32_t> StepTable::slots_by_time() const {
     return times_[a] < times_[b];
   });
   return slots;
-}
-
-std::vector<double> AdversaryTrace::costs_at(Time t) const {
-  TN_ASSERT(topology != nullptr);
-  std::vector<double> costs = graph::edge_costs(*topology);
-  if (t < steps.size())
-    for (const auto& [e, c] : steps[t].cost_overrides) costs[e] = c;
-  return costs;
 }
 
 namespace {

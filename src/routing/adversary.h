@@ -134,9 +134,6 @@ struct AdversaryTrace {
     TN_ASSERT(h > 0);
     return steps[t < h ? t : t % h];
   }
-
-  /// Per-step effective edge costs (base cost with overrides applied).
-  std::vector<double> costs_at(Time t) const;
 };
 
 /// Parameters for the certified trace generators.

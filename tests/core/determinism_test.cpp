@@ -82,7 +82,8 @@ void check_deployment(const topo::Deployment& d) {
   const graph::Graph gabriel1 = topo::gabriel_graph(d);
   const std::vector<std::uint32_t> isizes1 =
       interf::interference_set_sizes(theta1.graph(), d, model);
-  const auto isets1 = interf::interference_sets(theta1.graph(), d, model);
+  const std::vector<std::uint32_t> ibounds1 =
+      interf::interference_bounds(theta1.graph(), d, model);
   const graph::StretchStats stretch1 =
       graph::edge_stretch(theta1.graph(), gstar1, graph::Weight::kCost);
 
@@ -106,8 +107,9 @@ void check_deployment(const topo::Deployment& d) {
     ASSERT_EQ(interf::interference_set_sizes(theta.graph(), d, model),
               isizes1)
         << "interference sizes, threads=" << threads;
-    ASSERT_EQ(interf::interference_sets(theta.graph(), d, model), isets1)
-        << "interference sets, threads=" << threads;
+    ASSERT_EQ(interf::interference_bounds(theta.graph(), d, model),
+              ibounds1)
+        << "interference bounds, threads=" << threads;
 
     const graph::StretchStats stretch =
         graph::edge_stretch(theta.graph(), gstar1, graph::Weight::kCost);

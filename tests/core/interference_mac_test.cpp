@@ -30,17 +30,22 @@ struct MacFixture {
 TEST(RandomizedMac, BoundsDominatePerEdgeSetSizes) {
   const MacFixture f(71);
   const RandomizedMac mac(f.topo, f.d, f.model);
-  const auto sets = interf::interference_sets(f.topo, f.d, f.model);
+  const auto sizes = interf::interference_set_sizes(f.topo, f.d, f.model);
+  const auto bounds = interf::interference_bounds(f.topo, f.d, f.model);
   std::uint32_t max_size = 0;
+  std::uint32_t max_bound = 0;
   for (graph::EdgeId e = 0; e < f.topo.num_edges(); ++e) {
     // I_e >= |I(e')| for every e' in I(e) (and >= |I(e)| itself via e in
     // I(e')); in particular I_e >= |I(e)|.
     const double p = mac.activation_prob(e);
     EXPECT_GT(p, 0.0);
     EXPECT_LE(p, 0.5);
-    EXPECT_LE(sets[e].size(), 1.0 / (2.0 * p) + 1e-9);
-    max_size = std::max(max_size, static_cast<std::uint32_t>(sets[e].size()));
+    EXPECT_EQ(p, 1.0 / (2.0 * static_cast<double>(bounds[e])));
+    EXPECT_LE(sizes[e], bounds[e]);
+    max_size = std::max(max_size, sizes[e]);
+    max_bound = std::max(max_bound, bounds[e]);
   }
+  EXPECT_EQ(mac.interference_bound(), max_bound);
   EXPECT_GE(mac.interference_bound(), max_size);
 }
 
@@ -67,20 +72,24 @@ TEST(RandomizedMac, ActivationFrequencyMatchesProbability) {
 TEST(RandomizedMac, Lemma32CollisionProbabilityAtMostHalf) {
   const MacFixture f(73);
   const RandomizedMac mac(f.topo, f.d, f.model);
-  const auto sets = interf::interference_sets(f.topo, f.d, f.model);
   geom::Rng rng(7);
   std::vector<std::size_t> active_count(f.topo.num_edges(), 0);
   std::vector<std::size_t> collided(f.topo.num_edges(), 0);
   const int rounds = 30000;
-  std::vector<bool> is_active(f.topo.num_edges());
+  const auto in_set = [&](graph::EdgeId a, graph::EdgeId b) {
+    const graph::Edge& ea = f.topo.edge(a);
+    const graph::Edge& eb = f.topo.edge(b);
+    return f.model.in_interference_set(f.d.positions[ea.u],
+                                       f.d.positions[ea.v],
+                                       f.d.positions[eb.u],
+                                       f.d.positions[eb.v]);
+  };
   for (int round = 0; round < rounds; ++round) {
     const auto active = mac.activate(rng);
-    std::fill(is_active.begin(), is_active.end(), false);
-    for (const graph::EdgeId e : active) is_active[e] = true;
     for (const graph::EdgeId e : active) {
       ++active_count[e];
-      for (const graph::EdgeId ep : sets[e])
-        if (is_active[ep]) {
+      for (const graph::EdgeId ep : active)
+        if (ep != e && in_set(e, ep)) {
           ++collided[e];
           break;
         }

@@ -23,6 +23,14 @@ struct Fixture {
     d.kappa = 2.0;
     gstar = topo::build_transmission_graph(d);
   }
+
+  /// The Section 2.4 pairwise test: a in I(b) for edges of g.
+  bool in_set(const graph::Graph& g, graph::EdgeId a, graph::EdgeId b) const {
+    const graph::Edge& ea = g.edge(a);
+    const graph::Edge& eb = g.edge(b);
+    return model.in_interference_set(d.positions[ea.u], d.positions[ea.v],
+                                     d.positions[eb.u], d.positions[eb.v]);
+  }
 };
 
 TEST(RandomSchedule, StepsArePairwiseNonInterfering) {
@@ -34,14 +42,9 @@ TEST(RandomSchedule, StepsArePairwiseNonInterfering) {
   for (const auto& step : schedule) {
     EXPECT_FALSE(step.empty());
     for (std::size_t i = 0; i < step.size(); ++i)
-      for (std::size_t j = i + 1; j < step.size(); ++j) {
-        const graph::Edge& a = f.gstar.edge(step[i]);
-        const graph::Edge& b = f.gstar.edge(step[j]);
-        EXPECT_FALSE(f.model.in_interference_set(
-            f.d.positions[a.u], f.d.positions[a.v], f.d.positions[b.u],
-            f.d.positions[b.v]))
+      for (std::size_t j = i + 1; j < step.size(); ++j)
+        EXPECT_FALSE(f.in_set(f.gstar, step[i], step[j]))
             << "edges " << step[i] << "," << step[j];
-      }
   }
 }
 
@@ -52,17 +55,13 @@ TEST(RandomSchedule, StepsAreMaximal) {
   geom::Rng rng(4);
   const auto schedule =
       random_noninterfering_schedule(f.gstar, f.d, f.model, 3, rng);
-  const auto sets = interf::interference_sets(f.gstar, f.d, f.model);
   for (const auto& step : schedule) {
     const std::set<graph::EdgeId> in(step.begin(), step.end());
     for (graph::EdgeId e = 0; e < f.gstar.num_edges(); ++e) {
       if (in.count(e)) continue;
       bool conflicts = false;
-      for (const graph::EdgeId other : sets[e])
-        if (in.count(other)) {
-          conflicts = true;
-          break;
-        }
+      for (const graph::EdgeId other : step)
+        conflicts = conflicts || f.in_set(f.gstar, e, other);
       EXPECT_TRUE(conflicts) << "edge " << e << " could have been added";
     }
   }
@@ -78,16 +77,13 @@ TEST(TransformSchedule, OutputIsConflictFreeOnN) {
       transform_schedule(tt, f.gstar, schedule, f.model);
   ASSERT_GT(res.n_steps, 0U);
   ASSERT_EQ(res.n_schedule.size(), res.n_steps);
-  const auto sets = interf::interference_sets(tt.graph(), f.d, f.model);
   std::size_t total = 0;
   for (const auto& step : res.n_schedule) {
     total += step.size();
-    const std::set<graph::EdgeId> in(step.begin(), step.end());
-    for (const graph::EdgeId e : step) {
-      for (const graph::EdgeId other : sets[e])
-        ASSERT_FALSE(in.count(other))
+    for (std::size_t i = 0; i < step.size(); ++i)
+      for (std::size_t j = i + 1; j < step.size(); ++j)
+        ASSERT_FALSE(f.in_set(tt.graph(), step[i], step[j]))
             << "interfering pair scheduled together";
-    }
   }
   EXPECT_EQ(total, res.transmissions);
 }

@@ -1,16 +1,16 @@
 // Brute-force O(E^2) reference for the interference kernels. The grid path
-// (edge-length-sized cells, single-emission pair discovery, count-only
-// sizes) must reproduce the reference exactly — same sets, same sizes, in
-// ascending edge-id order — on random instances across the guard-zone
-// sweep, on degenerate layouts (coincident nodes, collinear clusters), on
-// an instance large enough for the bucketed pair sort, and for every pool
-// size.
+// (edge-length-sized cells, owned-pair discovery, count-only tallies) must
+// reproduce the reference exactly — same set sizes and same bounds I_e, in
+// edge-id order — on random instances across the guard-zone sweep, on
+// degenerate layouts (coincident nodes, collinear clusters), on an instance
+// with over 2^18 interfering pairs, and for every pool size.
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "common/parallel.h"
+#include "interference/brute_force_oracle.h"
 #include "interference/model.h"
 #include "topology/distributions.h"
 #include "topology/transmission_graph.h"
@@ -18,41 +18,23 @@
 namespace thetanet::interf {
 namespace {
 
-std::vector<std::vector<graph::EdgeId>> brute_sets(const graph::Graph& g,
-                                                   const topo::Deployment& d,
-                                                   const InterferenceModel& m) {
-  const auto ne = static_cast<graph::EdgeId>(g.num_edges());
-  std::vector<std::vector<graph::EdgeId>> sets(ne);
-  for (graph::EdgeId a = 0; a < ne; ++a) {
-    const graph::Edge& ea = g.edge(a);
-    for (graph::EdgeId b = a + 1; b < ne; ++b) {
-      const graph::Edge& eb = g.edge(b);
-      if (m.in_interference_set(d.positions[ea.u], d.positions[ea.v],
-                                d.positions[eb.u], d.positions[eb.v])) {
-        sets[a].push_back(b);
-        sets[b].push_back(a);
-      }
-    }
-  }
-  return sets;  // b ascends in both loops => sets come out sorted
-}
-
 void expect_grid_matches_brute(const graph::Graph& g,
                                const topo::Deployment& d, double delta) {
   const InterferenceModel m{delta};
-  const auto expect = brute_sets(g, d, m);
+  const auto sets = brute_sets(g, d, m);
+  const auto expect_bounds = brute_bounds(sets);
   const int saved = tn::num_threads();
   for (const int threads : {1, 2, 4, 7}) {
     tn::set_num_threads(threads);
-    const auto sets = interference_sets(g, d, m);
     const auto sizes = interference_set_sizes(g, d, m);
+    const auto bounds = interference_bounds(g, d, m);
     tn::set_num_threads(saved);
-    ASSERT_EQ(sets.size(), expect.size()) << "threads=" << threads;
-    ASSERT_EQ(sizes.size(), expect.size()) << "threads=" << threads;
-    for (graph::EdgeId e = 0; e < expect.size(); ++e) {
-      ASSERT_EQ(sets[e], expect[e])
+    ASSERT_EQ(sizes.size(), sets.size()) << "threads=" << threads;
+    ASSERT_EQ(bounds.size(), sets.size()) << "threads=" << threads;
+    for (graph::EdgeId e = 0; e < sets.size(); ++e) {
+      ASSERT_EQ(sizes[e], sets[e].size())
           << "edge " << e << " delta=" << delta << " threads=" << threads;
-      ASSERT_EQ(sizes[e], expect[e].size())
+      ASSERT_EQ(bounds[e], expect_bounds[e])
           << "edge " << e << " delta=" << delta << " threads=" << threads;
     }
   }
@@ -106,10 +88,10 @@ TEST_P(BruteForceSweep, CollinearClustersMatch) {
   expect_grid_matches_brute(g, d, GetParam());
 }
 
-TEST_P(BruteForceSweep, BucketedPairSortMatches) {
-  // interference_sets sorts its pair list in one bucket up to 2^18 pairs
-  // and splits it into buckets sorted in parallel above that; the small
-  // instances above never leave the single bucket.
+TEST_P(BruteForceSweep, LargeInstanceMatches) {
+  // Over 2^18 interfering pairs: at every pool size each chunk of both
+  // walks carries thousands of pairs, and at 7 threads the max pass folds
+  // 56 partial arrays.
   geom::Rng rng(23);
   topo::Deployment d;
   d.positions = topo::uniform_square(300, 1.0, rng);
@@ -133,11 +115,12 @@ TEST(BruteForce, EmptyAndSingleEdgeGraphs) {
   d.max_range = 0.2;
   const InterferenceModel m{1.0};
   graph::Graph empty(2);
-  EXPECT_TRUE(interference_sets(empty, d, m).empty());
   EXPECT_TRUE(interference_set_sizes(empty, d, m).empty());
+  EXPECT_TRUE(interference_bounds(empty, d, m).empty());
   const graph::Graph g = topo::build_transmission_graph(d);
   ASSERT_EQ(g.num_edges(), 1u);
   EXPECT_EQ(interference_set_sizes(g, d, m), std::vector<std::uint32_t>{0});
+  EXPECT_EQ(interference_bounds(g, d, m), std::vector<std::uint32_t>{1});
   EXPECT_EQ(interference_number(g, d, m), 0u);
 }
 

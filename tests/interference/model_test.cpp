@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "interference/brute_force_oracle.h"
 #include "topology/distributions.h"
 #include "topology/transmission_graph.h"
 
@@ -44,22 +45,6 @@ TEST(InterferenceModel, DisjointFarEdgesDoNotInterfere) {
   EXPECT_FALSE(m.in_interference_set({0, 0}, {1, 0}, {100, 0}, {101, 0}));
 }
 
-graph::Graph brute_sets(const graph::Graph& g, const topo::Deployment& d,
-                        const InterferenceModel& m,
-                        std::vector<std::vector<graph::EdgeId>>* out) {
-  out->assign(g.num_edges(), {});
-  for (graph::EdgeId e = 0; e < g.num_edges(); ++e)
-    for (graph::EdgeId f = 0; f < g.num_edges(); ++f) {
-      if (e == f) continue;
-      const auto& ee = g.edge(e);
-      const auto& ff = g.edge(f);
-      if (m.in_interference_set(d.positions[ee.u], d.positions[ee.v],
-                                d.positions[ff.u], d.positions[ff.v]))
-        (*out)[e].push_back(f);
-    }
-  return g;
-}
-
 TEST(InterferenceSets, MatchBruteForce) {
   geom::Rng rng(51);
   topo::Deployment d;
@@ -68,12 +53,16 @@ TEST(InterferenceSets, MatchBruteForce) {
   d.kappa = 2.0;
   const graph::Graph g = topo::build_transmission_graph(d);
   const InterferenceModel m{0.5};
-  const auto sets = interference_sets(g, d, m);
-  std::vector<std::vector<graph::EdgeId>> expect;
-  brute_sets(g, d, m, &expect);
-  ASSERT_EQ(sets.size(), expect.size());
-  for (graph::EdgeId e = 0; e < sets.size(); ++e)
-    ASSERT_EQ(sets[e], expect[e]) << "edge " << e;
+  const auto sets = brute_sets(g, d, m);
+  const auto sizes = interference_set_sizes(g, d, m);
+  const auto bounds = interference_bounds(g, d, m);
+  const auto expect_bounds = brute_bounds(sets);
+  ASSERT_EQ(sizes.size(), sets.size());
+  ASSERT_EQ(bounds.size(), sets.size());
+  for (graph::EdgeId e = 0; e < sets.size(); ++e) {
+    ASSERT_EQ(sizes[e], sets[e].size()) << "edge " << e;
+    ASSERT_EQ(bounds[e], expect_bounds[e]) << "edge " << e;
+  }
 }
 
 TEST(InterferenceSets, SizesAndNumberAgree) {
@@ -84,7 +73,7 @@ TEST(InterferenceSets, SizesAndNumberAgree) {
   d.kappa = 2.0;
   const graph::Graph g = topo::build_transmission_graph(d);
   const InterferenceModel m{1.0};
-  const auto sets = interference_sets(g, d, m);
+  const auto sets = brute_sets(g, d, m);
   const auto sizes = interference_set_sizes(g, d, m);
   std::uint32_t max_size = 0;
   for (graph::EdgeId e = 0; e < sets.size(); ++e) {
@@ -95,38 +84,54 @@ TEST(InterferenceSets, SizesAndNumberAgree) {
 }
 
 TEST(InterferenceSets, SymmetricMembership) {
+  // I(e) is the symmetric closure of the directed relation: e' in I(e)
+  // exactly when e in I(e').
   geom::Rng rng(53);
   topo::Deployment d;
   d.positions = topo::uniform_square(50, 1.0, rng);
   d.max_range = 0.3;
   d.kappa = 2.0;
   const graph::Graph g = topo::build_transmission_graph(d);
-  const auto sets = interference_sets(g, d, InterferenceModel{0.75});
-  for (graph::EdgeId e = 0; e < sets.size(); ++e)
-    for (const graph::EdgeId f : sets[e]) {
-      ASSERT_TRUE(std::binary_search(sets[f].begin(), sets[f].end(), e))
+  const InterferenceModel m{0.75};
+  for (graph::EdgeId e = 0; e < g.num_edges(); ++e)
+    for (graph::EdgeId f = 0; f < g.num_edges(); ++f) {
+      const graph::Edge& ee = g.edge(e);
+      const graph::Edge& ff = g.edge(f);
+      ASSERT_EQ(m.in_interference_set(d.positions[ee.u], d.positions[ee.v],
+                                      d.positions[ff.u], d.positions[ff.v]),
+                m.in_interference_set(d.positions[ff.u], d.positions[ff.v],
+                                      d.positions[ee.u], d.positions[ee.v]))
           << e << " in I(" << f << ")?";
     }
 }
 
 TEST(InterferenceSets, AdjacentEdgesAlwaysInterfere) {
   // Edges sharing a node are within each other's guard region by definition
-  // (the shared endpoint is inside both open disks).
+  // (the shared endpoint is inside both open disks), so |I(e)| counts at
+  // least every other edge at either endpoint.
   geom::Rng rng(54);
   topo::Deployment d;
   d.positions = topo::uniform_square(60, 1.0, rng);
   d.max_range = 0.3;
   d.kappa = 2.0;
   const graph::Graph g = topo::build_transmission_graph(d);
-  const auto sets = interference_sets(g, d, InterferenceModel{0.5});
+  const InterferenceModel m{0.5};
   for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
     const auto nbrs = g.neighbors(v);
     for (std::size_t i = 0; i < nbrs.size(); ++i)
       for (std::size_t j = i + 1; j < nbrs.size(); ++j) {
-        ASSERT_TRUE(std::binary_search(sets[nbrs[i].edge].begin(),
-                                       sets[nbrs[i].edge].end(),
-                                       nbrs[j].edge));
+        const graph::Edge& a = g.edge(nbrs[i].edge);
+        const graph::Edge& b = g.edge(nbrs[j].edge);
+        ASSERT_TRUE(m.in_interference_set(d.positions[a.u], d.positions[a.v],
+                                          d.positions[b.u], d.positions[b.v]));
       }
+  }
+  const auto sizes = interference_set_sizes(g, d, m);
+  for (graph::EdgeId e = 0; e < g.num_edges(); ++e) {
+    const graph::Edge& ee = g.edge(e);
+    ASSERT_GE(sizes[e],
+              g.neighbors(ee.u).size() + g.neighbors(ee.v).size() - 2)
+        << "edge " << e;
   }
 }
 

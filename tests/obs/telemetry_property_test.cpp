@@ -204,7 +204,7 @@ void run_theta_interference_workload() {
   const core::ThetaTopology tt(d, std::numbers::pi / 9.0);
   const interf::InterferenceModel model{1.0};
   (void)interf::interference_set_sizes(tt.graph(), d, model);
-  (void)interf::interference_sets(tt.graph(), d, model);
+  (void)interf::interference_bounds(tt.graph(), d, model);
 }
 
 TEST_F(TelemetryPropertyTest, DeterministicJsonIsByteIdenticalAcrossThreads) {

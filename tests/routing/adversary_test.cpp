@@ -131,7 +131,9 @@ TEST(CertifiedAdversary, CostOverridesOnlyOnActiveEdges) {
 }
 
 TEST(CertifiedAdversary, CostsAtAppliesOverrides) {
-  geom::Rng rng(66);
+  // A step's cost overrides are what step_at(t) carries; past the horizon
+  // the steps cycle, overrides included, so a drain round is charged the
+  // cycled step's costs.
   graph::GraphBuilder b(3);
   b.add_edge(0, 1, 1.0, 1.0);
   b.add_edge(1, 2, 2.0, 4.0);
@@ -140,14 +142,12 @@ TEST(CertifiedAdversary, CostsAtAppliesOverrides) {
   trace.topology = &topo;
   trace.steps.resize(2);
   trace.steps.edit(1).cost_overrides.push_back({0, 9.0});
-  const auto c0 = trace.costs_at(0);
-  EXPECT_DOUBLE_EQ(c0[0], 1.0);
-  EXPECT_DOUBLE_EQ(c0[1], 4.0);
-  const auto c1 = trace.costs_at(1);
-  EXPECT_DOUBLE_EQ(c1[0], 9.0);
-  EXPECT_DOUBLE_EQ(c1[1], 4.0);
-  // Past the horizon: base costs.
-  EXPECT_DOUBLE_EQ(trace.costs_at(7)[0], 1.0);
+  EXPECT_TRUE(trace.step_at(0).cost_overrides.empty());
+  using Override = std::pair<graph::EdgeId, double>;
+  const std::vector<Override> want{{0, 9.0}};
+  EXPECT_EQ(trace.step_at(1).cost_overrides, want);
+  EXPECT_EQ(trace.step_at(7).cost_overrides, want);  // 7 % 2 == 1
+  EXPECT_TRUE(trace.step_at(8).cost_overrides.empty());
 }
 
 TEST(CertifiedAdversary, StepAtCyclesPastTheHorizon) {

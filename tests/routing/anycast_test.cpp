@@ -7,6 +7,7 @@
 
 #include "core/theta_topology.h"
 #include "graph/connectivity.h"
+#include "graph/edge_costs.h"
 #include "sim/scenarios.h"
 #include "topology/distributions.h"
 #include "topology/transmission_graph.h"
@@ -77,12 +78,19 @@ TEST(AnycastTrace, HonoursNoiseEdgesAndCostJitter) {
     ASSERT_FALSE(step.active.empty());
     ASSERT_EQ(step.cost_overrides.size(), step.active.size());
   }
+  const std::vector<double> base_costs = graph::edge_costs(net.topo);
+  const auto cost_at = [&](graph::EdgeId e, Time t) {
+    double c = base_costs[e];
+    for (const auto& [oe, oc] : trace.step_at(t).cost_overrides)
+      if (oe == e) c = oc;
+    return c;
+  };
   double jittered = 0.0, base = 0.0;
   for (const StepSpec& step : trace.steps)
     for (const Injection& inj : step.injections)
       for (const auto& [e, t] : inj.schedule.hops) {
-        jittered += trace.costs_at(t)[e];
-        base += net.topo.edge(e).cost;
+        jittered += cost_at(e, t);
+        base += base_costs[e];
       }
   EXPECT_NEAR(trace.opt.total_cost, jittered, 1e-9 * jittered);
   EXPECT_NE(trace.opt.total_cost, base);

@@ -85,10 +85,8 @@ PipelineOutput run_pipeline(const topo::Deployment& d, bool morton,
   for (const std::uint32_t s :
        interf::interference_set_sizes(tt.graph(), d, m))
     out.blob.push_back(s);
-  for (const auto& set : interf::interference_sets(tt.graph(), d, m)) {
-    out.blob.push_back(set.size());
-    for (const graph::EdgeId e : set) out.blob.push_back(e);
-  }
+  for (const std::uint32_t b : interf::interference_bounds(tt.graph(), d, m))
+    out.blob.push_back(b);
 
   // Every counter is thread-count invariant by contract.
   for (const obs::CounterSnapshot& c :
