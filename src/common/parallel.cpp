@@ -48,9 +48,7 @@ class Pool {
 
   void run(std::size_t num_chunks, const std::function<void(std::size_t)>& fn) {
     if (num_chunks == 0) return;
-    // One per dispatched loop, independent of the schedule. Chunk counts are
-    // not recorded: the automatic grain targets ~8 chunks per thread, so
-    // they vary with TN_NUM_THREADS.
+    // One per dispatched loop, independent of the schedule.
     TN_OBS_COUNT("parallel.jobs", 1);
     int nthreads;
     {
@@ -212,9 +210,8 @@ namespace detail {
 
 std::size_t resolve_grain(std::size_t n, std::size_t grain) {
   if (grain > 0) return grain;
-  const std::size_t target =
-      static_cast<std::size_t>(num_threads()) * 8;  // ~8 chunks per thread
-  const std::size_t g = n / target;
+  // About 32 chunks, from n alone: 8 per thread at 4 threads.
+  const std::size_t g = n / 32;
   return g > 0 ? g : 1;
 }
 

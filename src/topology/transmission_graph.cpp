@@ -22,7 +22,7 @@ graph::Graph build_transmission_graph(const Deployment& d) {
   // ordering produces.
   const geom::SpatialOrder ord(d.positions);
   const geom::SpatialGrid grid(ord.points(), d.max_range);
-  // Grain 0 (auto, ~8 chunks per thread): a fixed fine grain paid one
+  // Grain 0 (auto, about 32 chunks): a fixed fine grain paid one
   // partial-vector allocation + merge per 256 nodes, which at mid n ate the
   // parallel win. The pair set is dedup'd and radix-sorted below, so the
   // output is independent of the chunking (and thus of the thread count).
