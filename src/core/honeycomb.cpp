@@ -60,9 +60,10 @@ std::vector<PlannedTx> HoneycombMac::select(const BalancingRouter& router,
   std::vector<std::uint64_t> order;
   const route::BufferBank& buffers = router.buffers();
   buffers.for_each_active_node([&](graph::NodeId s) {
-    const std::span<const std::uint32_t> h = buffers.heights(s);
-    const double tallest =
-        static_cast<double>(*std::max_element(h.begin(), h.end()));
+    std::uint32_t top = 0;
+    for (const route::BufferBank::Entry& e : buffers.entries(s))
+      top = std::max(top, e.height);
+    const double tallest = static_cast<double>(top);
     if (tallest <= bp.threshold) return;
     std::optional<geom::HexCell> cell;
     for (const graph::Half& nb : unit_graph_->neighbors(s)) {

@@ -227,8 +227,9 @@ std::vector<graph::EdgeId> brute_candidates(const graph::Graph& g,
 /// Empty every buffer of node v.
 void drain(BalancingRouter& r, graph::NodeId v) {
   route::BufferBank& bank = r.buffers_for_fault_injection();
-  const std::span<const route::DestId> ds = bank.dests(v);
-  const std::vector<route::DestId> dests(ds.begin(), ds.end());
+  std::vector<route::DestId> dests;
+  for (const route::BufferBank::Entry& e : bank.entries(v))
+    dests.push_back(e.dest);
   for (const route::DestId d : dests)
     while (bank.pop(v, d)) {
     }

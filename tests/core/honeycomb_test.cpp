@@ -195,8 +195,10 @@ TEST(Honeycomb, ResolveUsesFixedGuardDistance) {
 // --- differential test: select() against the full 2E scan ----------------
 
 std::uint32_t tallest_buffer(const BalancingRouter& router, graph::NodeId v) {
-  const auto h = router.buffers().heights(v);
-  return h.empty() ? 0 : *std::max_element(h.begin(), h.end());
+  std::uint32_t top = 0;
+  for (const route::BufferBank::Entry& e : router.buffers().entries(v))
+    top = std::max(top, e.height);
+  return top;
 }
 
 // The contestant selection as a scan over all 2E directed pairs, in (edge id,
