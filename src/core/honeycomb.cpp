@@ -1,6 +1,8 @@
 #include "core/honeycomb.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 #include <optional>
 #include <unordered_map>
 
@@ -14,6 +16,10 @@ namespace {
 // Bits of a candidate's sort key that hold its index; select() has at most
 // 2E candidates.
 constexpr unsigned kIndexBits = 31;
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
 }  // namespace
 
 HoneycombMac::HoneycombMac(const topo::Deployment& d,
@@ -41,66 +47,81 @@ std::vector<PlannedTx> HoneycombMac::select(const BalancingRouter& router,
                 "costs must hold one entry per unit-graph edge");
   const BalancingParams& bp = router.params();
   TN_ASSERT_MSG(bp.gamma >= 0.0, "the pair prune requires gamma >= 0");
-
-  // Only pairs that can clear T are evaluated. A pair's benefit is
-  // (h_from - h_to) - gamma*c; the difference of two small integers is
-  // exact in double and never exceeds the sender's tallest buffer, and
-  // subtracting the same rounded gamma*c product is monotone. So a pair with
-  // tallest - gamma*c <= T has benefit <= T, which best_for_pair rejects,
-  // and is skipped without changing the result. With gamma >= 0 and c >= 0
-  // that bound is at most the tallest buffer itself: a sender whose tallest
-  // buffer is <= T, or that buffers nothing, is skipped whole.
-  struct Candidate {
-    PlannedTx tx;
-    geom::HexCell cell;  // the sender's hexagon
-  };
-  std::vector<Candidate> found;
-  // One sort key per candidate: (edge id, backward bit) above its index in
-  // `found` (kIndexBits wide; the constructor bounds the edge count).
-  std::vector<std::uint64_t> order;
   const route::BufferBank& buffers = router.buffers();
-  buffers.for_each_active_node([&](graph::NodeId s) {
-    std::uint32_t top = 0;
-    for (const route::BufferBank::Entry& e : buffers.entries(s))
-      top = std::max(top, e.height);
-    const double tallest = static_cast<double>(top);
-    if (tallest <= bp.threshold) return;
-    std::optional<geom::HexCell> cell;
-    for (const graph::Half& nb : unit_graph_->neighbors(s)) {
-      const double cost = costs[nb.edge];
-      if (tallest - bp.gamma * cost <= bp.threshold) continue;
-      const std::optional<PlannedTx> tx =
-          router.best_for_pair(s, nb.to, nb.edge, cost);
-      if (!tx) continue;
-      if (!cell) cell = tiling_.cell_of(deployment_->positions[s]);
-      const std::uint64_t key = (std::uint64_t{nb.edge} << 1) |
-                                (s != unit_graph_->edge_u(nb.edge) ? 1 : 0);
-      order.push_back((key << kIndexBits) | found.size());
-      found.push_back({*tx, *cell});
-    }
-  });
-  // Replay the candidates in (edge id, forward before backward) order, the
-  // order of a scan over all directed pairs: the hash map below then sees
-  // the same insertion sequence, so its iteration order, the coin each
-  // contestant draws and the benefit sums are those of that full scan.
-  std::sort(order.begin(), order.end());
+  const std::uint64_t stamp = buffers.stamp();
+  const bool hit =
+      memo_.stamp == stamp && same_bits(memo_.threshold, bp.threshold) &&
+      same_bits(memo_.gamma, bp.gamma) &&
+      (costs.empty() || std::memcmp(memo_.costs.data(), costs.data(),
+                                    costs.size() * sizeof(double)) == 0);
+  if (!hit) {
+    // Only pairs that can clear T are evaluated. A pair's benefit is
+    // (h_from - h_to) - gamma*c; the difference of two small integers is
+    // exact in double and never exceeds the sender's tallest buffer, and
+    // subtracting the same rounded gamma*c product is monotone. So a pair
+    // with tallest - gamma*c <= T has benefit <= T, which best_for_pair
+    // rejects, and is skipped without changing the result. With gamma >= 0
+    // and c >= 0 that bound is at most the tallest buffer itself: a sender
+    // whose tallest buffer is <= T, or that buffers nothing, is skipped
+    // whole.
+    found_.clear();
+    // One sort key per candidate: (edge id, backward bit) above its index in
+    // `found_` (kIndexBits wide; the constructor bounds the edge count).
+    order_.clear();
+    buffers.for_each_active_node([&](graph::NodeId s) {
+      std::uint32_t top = 0;
+      for (const route::BufferBank::Entry& e : buffers.entries(s))
+        top = std::max(top, e.height);
+      const double tallest = static_cast<double>(top);
+      if (tallest <= bp.threshold) return;
+      std::optional<geom::HexCell> cell;
+      for (const graph::Half& nb : unit_graph_->neighbors(s)) {
+        const double cost = costs[nb.edge];
+        if (tallest - bp.gamma * cost <= bp.threshold) continue;
+        const std::optional<PlannedTx> tx =
+            router.best_for_pair(s, nb.to, nb.edge, cost);
+        if (!tx) continue;
+        if (!cell) cell = tiling_.cell_of(deployment_->positions[s]);
+        const std::uint64_t key = (std::uint64_t{nb.edge} << 1) |
+                                  (s != unit_graph_->edge_u(nb.edge) ? 1 : 0);
+        order_.push_back((key << kIndexBits) | found_.size());
+        found_.push_back({*tx, *cell});
+      }
+    });
+    // Replay the candidates in (edge id, forward before backward) order, the
+    // order of a scan over all directed pairs: the hash map below then sees
+    // the same insertion sequence, so its iteration order, the coin each
+    // contestant draws and the benefit sums are those of that full scan.
+    std::sort(order_.begin(), order_.end());
 
-  // Per-hexagon maximum-benefit pair: strictly larger benefit wins, so ties
-  // keep the earliest pair in that order — "breaking ties in an arbitrary
-  // way" per the paper.
-  std::unordered_map<geom::HexCell, PlannedTx, geom::HexCellHash> winner;
-  SelectionStats local;
-  for (const std::uint64_t k : order) {
-    const Candidate& c = found[k & ((std::uint64_t{1} << kIndexBits) - 1)];
-    ++local.candidate_pairs;
-    local.candidate_benefit_sum += c.tx.benefit;
-    const auto [it, inserted] = winner.try_emplace(c.cell, c.tx);
-    if (!inserted && c.tx.benefit > it->second.benefit) it->second = c.tx;
+    // Per-hexagon maximum-benefit pair: strictly larger benefit wins, so
+    // ties keep the earliest pair in that order — "breaking ties in an
+    // arbitrary way" per the paper. The map is built fresh on every miss;
+    // see select()'s doc.
+    std::unordered_map<geom::HexCell, PlannedTx, geom::HexCellHash> winner;
+    memo_.candidate_pairs = 0;
+    memo_.candidate_benefit_sum = 0.0;
+    for (const std::uint64_t k : order_) {
+      const Candidate& c = found_[k & ((std::uint64_t{1} << kIndexBits) - 1)];
+      ++memo_.candidate_pairs;
+      memo_.candidate_benefit_sum += c.tx.benefit;
+      const auto [it, inserted] = winner.try_emplace(c.cell, c.tx);
+      if (!inserted && c.tx.benefit > it->second.benefit) it->second = c.tx;
+    }
+    memo_.winners.clear();
+    for (const auto& [cell, tx] : winner) memo_.winners.push_back(tx);
+    memo_.stamp = stamp;
+    memo_.threshold = bp.threshold;
+    memo_.gamma = bp.gamma;
+    memo_.costs.assign(costs.begin(), costs.end());
   }
 
+  SelectionStats local;
+  local.candidate_pairs = memo_.candidate_pairs;
+  local.candidate_benefit_sum = memo_.candidate_benefit_sum;
   std::vector<PlannedTx> chosen;
-  chosen.reserve(winner.size());
-  for (const auto& [cell, tx] : winner) {
+  chosen.reserve(memo_.winners.size());
+  for (const PlannedTx& tx : memo_.winners) {
     ++local.contestants;
     local.contestant_benefit_sum += tx.benefit;
     if (rng.bernoulli(params_.p_t)) chosen.push_back(tx);

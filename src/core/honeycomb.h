@@ -13,6 +13,7 @@
 // (T, gamma, 3)-balancing rule applied to contestants (Theorem 3.8 —
 // constant-competitive throughput).
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -65,6 +66,23 @@ class HoneycombMac {
   /// that of a scan over all 2E directed pairs in (edge id, direction)
   /// order: same transmissions, same statistics, same coins drawn from
   /// `rng`.
+  ///
+  /// The contestant set depends only on the heights, the costs and
+  /// (T, gamma); only the coins are fresh each round. So select() keeps a
+  /// memo of its last full selection — the bank's stamp(), T, gamma, a copy
+  /// of `costs`, the winners in the winner map's iteration order and the
+  /// candidate statistics — and reuses it when the stamp, T and gamma match
+  /// and every cost matches bitwise (by content, not by address: callers
+  /// edit their cost vector in place). A hit skips the sender walk, the
+  /// sort and the map, and draws the coins over the stored winners in the
+  /// stored order, so both paths return the same transmissions, statistics
+  /// and rng draws. A miss builds a fresh winner map: a reused one keeps its
+  /// bucket count, which changes its iteration order and so which
+  /// contestant draws which coin.
+  ///
+  /// The memo and the walk's scratch are mutable state: one HoneycombMac
+  /// must not serve concurrent select() calls (the same contract as
+  /// BalancingRouter's plan scratch).
   std::vector<PlannedTx> select(const BalancingRouter& router,
                                 std::span<const double> costs, geom::Rng& rng,
                                 SelectionStats* stats = nullptr) const;
@@ -79,6 +97,27 @@ class HoneycombMac {
   const graph::Graph* unit_graph_;
   HoneycombParams params_;
   geom::HexTiling tiling_;
+
+  // A pair that cleared T, with its sender's hexagon.
+  struct Candidate {
+    PlannedTx tx;
+    geom::HexCell cell;
+  };
+  // select()'s last full selection; stamp 0 (never a bank's stamp) while
+  // empty.
+  struct Memo {
+    std::uint64_t stamp = 0;
+    double threshold = 0.0;
+    double gamma = 0.0;
+    std::vector<double> costs;
+    std::vector<PlannedTx> winners;  // in the winner map's iteration order
+    std::size_t candidate_pairs = 0;
+    double candidate_benefit_sum = 0.0;
+  };
+  mutable Memo memo_;
+  // Reused scratch of select()'s sender walk.
+  mutable std::vector<Candidate> found_;
+  mutable std::vector<std::uint64_t> order_;
 };
 
 }  // namespace thetanet::core

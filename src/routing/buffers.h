@@ -35,9 +35,19 @@
 // (`for_each_active_node`), which is what lets the router's sustained-load
 // plan skip the empty region of a large graph entirely.
 //
+// Content stamp: `stamp()` names the bank's current heights. It is drawn
+// lazily from one process-wide counter, so it is never 0 and two banks
+// (or two states of one bank) never share a value unless one is a copy of
+// the other with no height change since. Every height change goes through
+// `link` or `unlink`, which reset it to 0 (drawn afresh on the next call).
+// Equal stamps therefore mean equal heights everywhere; a caller may cache
+// anything computed from the heights under the stamp (the honeycomb MAC's
+// contestant set does).
+//
 // Not thread-safe, not even for concurrent reads: for_each_active_node
 // compacts its (mutable) active-node list in passing.
 
+#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -119,6 +129,7 @@ class BufferBank {
     e.head = pool_next_[s];
     const std::uint32_t h = e.height--;
     --total_;
+    stamp_ = 0;
     lower_height(h);
     if (h == 1) {
       --node.live;
@@ -253,6 +264,17 @@ class BufferBank {
   /// maintained incrementally from the height histogram.
   std::size_t peak_height() const { return cur_max_; }
 
+  /// Content stamp of the current heights (never 0): equal stamps mean equal
+  /// heights at every (node, destination). Const scans, a push into a full
+  /// buffer and an unlink of an empty one keep it; every push, pop, unlink
+  /// and relink that moves a packet changes it. A copy shares its source's
+  /// stamp until either side changes a height.
+  std::uint64_t stamp() const {
+    if (stamp_ == 0)
+      stamp_ = next_stamp_.fetch_add(1, std::memory_order_relaxed);
+    return stamp_;
+  }
+
  private:
   static constexpr std::size_t kFull = ~std::size_t{0};
 
@@ -315,6 +337,7 @@ class BufferBank {
       }
     }
     ++total_;
+    stamp_ = 0;
     raise_height(h + 1);
   }
 
@@ -354,6 +377,9 @@ class BufferBank {
   std::uint32_t cur_max_ = 0;
   std::size_t total_ = 0;
   std::size_t max_height_;
+  // Content stamp (see stamp()); 0 until drawn after the last height change.
+  mutable std::uint64_t stamp_ = 0;
+  static inline std::atomic<std::uint64_t> next_stamp_{1};
 };
 
 }  // namespace thetanet::route

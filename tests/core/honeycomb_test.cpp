@@ -417,5 +417,90 @@ TEST(Honeycomb, SelectWithEverySenderAtOrBelowThreshold) {
              s_dense, rng_dense)));
 }
 
+// select() reuses its last contestant set while the bank's stamp, (T, gamma)
+// and every cost stay the same. One long-lived MAC runs a trajectory in
+// which most rounds change nothing (every coin fails and nothing is
+// injected), and each round must still equal a fresh full scan:
+// transmissions, statistics and rng draws. Along the way the cost vector is
+// edited in place, the MAC alternates between two routers of different
+// (T, gamma), and a router copy diverges from its source.
+TEST(Honeycomb, SelectReuseMatchesFreshSelection) {
+  const HcFixture f(90);
+  const HoneycombMac mac(f.d, f.unit, HoneycombParams{0.5, 1.0 / 6.0});
+  std::vector<double> costs = f.costs();
+  geom::Rng rng(31);
+  std::uint64_t next_id = 0;
+  route::RunMetrics m;
+  std::size_t rounds = 0;
+  std::size_t unchanged = 0;  // same bank state as the previous select()
+  std::size_t cost_edits = 0;  // in-place edits a stale memo would miss
+  // One round on `router`: select() against the oracle, then execute.
+  const auto step = [&](BalancingRouter& router, const char* phase,
+                        route::Time t) {
+    geom::Rng rng_select = rng;
+    geom::Rng rng_dense = rng;
+    HoneycombMac::SelectionStats s_select, s_dense;
+    auto txs = mac.select(router, costs, rng_select, &s_select);
+    const Outcome fast = finish(txs, s_select, rng_select);
+    const Outcome ref = finish(
+        dense_select(mac, f.d, f.unit, router, costs, rng_dense, &s_dense),
+        s_dense, rng_dense);
+    EXPECT_TRUE(same_outcome(fast, ref)) << phase << " round " << t;
+    rng = rng_select;
+    router.execute(txs, mac.resolve(txs), costs, t, m);
+    router.end_step(m);
+    ++rounds;
+    return s_select;
+  };
+
+  // Phase 1: one router, bursts every 30 rounds, and every 7 rounds the
+  // costs switch in place (same vector, same address) between 1x and 1.5x.
+  const std::vector<double> base = costs;
+  BalancingRouter a(f.d.size(), {0.5, 0.3, 64});
+  std::uint64_t last_stamp = 0;
+  bool costs_edited = false;
+  HoneycombMac::SelectionStats last;
+  for (route::Time t = 0; t < 240; ++t) {
+    if (t % 30 == 0) load(f, a, rng, 60, 200, next_id);
+    if (t % 7 == 3) {
+      const double factor = (t / 7) % 2 == 0 ? 1.5 : 1.0;
+      for (std::size_t e = 0; e < costs.size(); ++e)
+        costs[e] = base[e] * factor;
+      costs_edited = true;
+    }
+    const bool same_bank = a.buffers().stamp() == last_stamp;
+    if (same_bank && !costs_edited) ++unchanged;
+    if (same_bank && costs_edited && last.candidate_pairs > 0) ++cost_edits;
+    last = step(a, "single", t);
+    last_stamp = a.buffers().stamp();
+    costs_edited = false;
+  }
+  EXPECT_GT(unchanged, rounds / 3);
+  EXPECT_GT(cost_edits, 3U);
+
+  // Phase 2: the MAC alternates between two routers of different (T, gamma).
+  BalancingRouter b(f.d.size(), {2.0, 0.0, 64});
+  load(f, b, rng, 60, 200, next_id);
+  for (route::Time t = 240; t < 300; ++t) {
+    if (t % 30 == 0) load(f, a, rng, 60, 200, next_id);
+    step(a, "alternate a", t);
+    step(b, "alternate b", t);
+  }
+
+  // Phase 3: a copy starts with its source's stamp, then diverges.
+  BalancingRouter c = a;
+  EXPECT_EQ(c.buffers().stamp(), a.buffers().stamp());
+  step(a, "source", 300);
+  BalancingRouter d = a;
+  step(d, "fresh copy", 301);
+  load(f, d, rng, 60, 100, next_id);  // injection only: pushes, no pops
+  for (route::Time t = 302; t < 360; ++t) {
+    step(d, "diverged copy", t);
+    step(a, "source", t);
+    step(c, "old copy", t);
+  }
+  EXPECT_EQ(rounds, 240U + 120U + 2U + 3U * 58U);
+}
+
 }  // namespace
 }  // namespace thetanet::core

@@ -328,5 +328,92 @@ TEST(BufferBank, PlantedLeakTakesOneFreshSlotPerPushAndRelink) {
   EXPECT_EQ(b.pop(0, 1)->id, 21U);
 }
 
+// --- content stamp ------------------------------------------------------
+
+TEST(BufferBank, StampKeptByReadsAndNoOps) {
+  BufferBank b(4, 2);
+  ASSERT_TRUE(b.push(0, mk(1, 0, 3)));
+  ASSERT_TRUE(b.push(0, mk(2, 0, 3)));  // Q(0, 3) is full
+  ASSERT_TRUE(b.push(1, mk(3, 1, 2)));
+  ASSERT_TRUE(b.push(2, mk(4, 2, 1)));
+  ASSERT_TRUE(b.pop(2, 1).has_value());  // node 2 drains: a tombstone and a
+                                         // stale active-list entry remain
+  const std::uint64_t s = b.stamp();
+  EXPECT_NE(s, 0U);
+  EXPECT_EQ(b.stamp(), s);
+  EXPECT_EQ(b.height(0, 3), 2U);
+  std::size_t visits = 0;
+  b.for_each_pair(0, 1, [&](DestId, std::uint32_t, std::uint32_t) {
+    ++visits;
+  });
+  EXPECT_EQ(visits, 2U);
+  EXPECT_EQ(live_dests(b, 0), (std::vector<DestId>{3}));
+  std::vector<graph::NodeId> active;
+  b.for_each_active_node([&](graph::NodeId v) { active.push_back(v); });
+  std::sort(active.begin(), active.end());
+  EXPECT_EQ(active, (std::vector<graph::NodeId>{0, 1}));  // 2 compacted away
+  EXPECT_EQ(b.stamp(), s);
+  EXPECT_FALSE(b.push(0, mk(5, 0, 3)));                 // full buffer
+  EXPECT_EQ(b.unlink(3, 1), BufferBank::kNoSlot);       // no entries
+  EXPECT_EQ(b.unlink(2, 1), BufferBank::kNoSlot);       // tombstone
+  EXPECT_EQ(b.unlink(0, 1), BufferBank::kNoSlot);       // absent destination
+  EXPECT_FALSE(b.pop(1, 3).has_value());
+  EXPECT_EQ(b.stamp(), s);
+}
+
+TEST(BufferBank, StampChangesOnEveryHeightChange) {
+  BufferBank b(3, 2);
+  std::set<std::uint64_t> seen{b.stamp()};
+  const auto fresh = [&] { return seen.insert(b.stamp()).second; };
+  ASSERT_TRUE(b.push(0, mk(1, 0, 2)));
+  EXPECT_TRUE(fresh()) << "push";
+  ASSERT_TRUE(b.push(0, mk(2, 0, 2)));
+  EXPECT_TRUE(fresh()) << "push";
+  ASSERT_TRUE(b.pop(0, 2).has_value());
+  EXPECT_TRUE(fresh()) << "pop";
+  const std::uint32_t slot = b.unlink(0, 2);
+  ASSERT_NE(slot, BufferBank::kNoSlot);
+  EXPECT_TRUE(fresh()) << "unlink";
+  ASSERT_TRUE(b.relink(1, 2, slot));
+  EXPECT_TRUE(fresh()) << "relink";
+  // Back to an earlier content (Q(1, 2) empty again) is still a new stamp:
+  // the stamp names a state, it does not hash the heights.
+  b.release(b.unlink(1, 2));
+  EXPECT_TRUE(fresh()) << "unlink";
+  // A relink into a full buffer releases the slot and changes no height.
+  ASSERT_TRUE(b.push(1, mk(3, 1, 2)));
+  ASSERT_TRUE(b.push(1, mk(4, 1, 2)));
+  ASSERT_TRUE(b.push(0, mk(5, 0, 2)));
+  const std::uint32_t moving = b.unlink(0, 2);
+  const std::uint64_t before = b.stamp();
+  EXPECT_FALSE(b.relink(1, 2, moving));
+  EXPECT_EQ(b.stamp(), before);
+}
+
+TEST(BufferBank, StampCopySharedUntilEitherSideChanges) {
+  BufferBank src(3, 4);
+  ASSERT_TRUE(src.push(0, mk(1, 0, 2)));
+  const std::uint64_t s = src.stamp();
+  BufferBank copy = src;
+  EXPECT_EQ(copy.stamp(), s);
+  ASSERT_TRUE(copy.push(1, mk(2, 1, 2)));  // the copy changes
+  EXPECT_NE(copy.stamp(), s);
+  EXPECT_EQ(src.stamp(), s);
+  BufferBank other = src;
+  ASSERT_TRUE(src.pop(0, 2).has_value());  // the source changes
+  EXPECT_NE(src.stamp(), s);
+  EXPECT_NE(src.stamp(), copy.stamp());
+  EXPECT_EQ(other.stamp(), s);
+  EXPECT_EQ(other.height(0, 2), 1U);
+}
+
+TEST(BufferBank, FreshBanksNeverShareAStamp) {
+  std::set<std::uint64_t> stamps;
+  for (int i = 0; i < 64; ++i) {
+    const BufferBank b(2, 4);  // identical (empty) content every time
+    EXPECT_TRUE(stamps.insert(b.stamp()).second);
+  }
+}
+
 }  // namespace
 }  // namespace thetanet::route
