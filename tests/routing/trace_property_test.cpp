@@ -3,13 +3,15 @@
 // rate (minus booking rejections), and replay always agrees with the
 // generator's own OptStats. The second half checks the sparse step table:
 // a trace stores exactly the steps that carry something. The last part pins
-// the bytes of a few unicast and anycast traces, so a refactor of the
-// generator cannot change a trace unnoticed.
+// the bytes of a few unicast and anycast traces, perfbench's two trace
+// recipes among them, so a refactor of the generator cannot change a trace
+// unnoticed.
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
+#include <map>
 #include <tuple>
 
 #include "routing/adversary.h"
@@ -185,6 +187,76 @@ TEST(SparseSteps, MillionStepTraceWithoutInjectionsStoresNoStep) {
   EXPECT_EQ(anycast.opt.deliveries, 0U);
 }
 
+/// Checks `steps` against `model` through every read path: size() and
+/// stored(), steps[t] for every t, range-for (which must hand out the same
+/// references as steps[t]) and for_each_stored (the model's steps in t order).
+/// A step's content is its active list.
+void expect_matches(const StepTable& steps,
+                    const std::map<Time, StepSpec>& model, std::size_t size) {
+  ASSERT_EQ(steps.size(), size);
+  ASSERT_EQ(steps.stored(), model.size());
+  for (Time t = 0; t < size; ++t) {
+    const auto it = model.find(t);
+    const std::vector<graph::EdgeId> expected =
+        it == model.end() ? std::vector<graph::EdgeId>{} : it->second.active;
+    ASSERT_EQ(steps[t].active, expected) << "t = " << t;
+  }
+  Time t = 0;
+  for (const StepSpec& step : steps) {
+    ASSERT_EQ(&step, &steps[t]) << "range-for and steps[t] differ at t = " << t;
+    ++t;
+  }
+  ASSERT_EQ(t, size);
+  auto it = model.begin();
+  steps.for_each_stored([&](const StepSpec& step) {
+    ASSERT_NE(it, model.end()) << "for_each_stored visits too many steps";
+    EXPECT_EQ(&step, &steps[it->first]) << "t = " << it->first;
+    ++it;
+  });
+  EXPECT_EQ(it, model.end()) << "for_each_stored visits too few steps";
+}
+
+/// Random edits in any order, mixed with appends past the last stored step
+/// and with growing resizes, against a std::map model. Every word edge of
+/// the table (t = 0, 63, 64, 127, 128, size - 1) is edited in every run.
+TEST(SparseSteps, RandomEditsMatchAMapModel) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE(seed);
+    geom::Rng rng(seed);
+    StepTable steps;
+    std::map<Time, StepSpec> model;
+    std::size_t size = 200;
+    steps.resize(size);
+    std::vector<Time> edges = {0, 63, 64, 127, 128,
+                               static_cast<Time>(size - 1)};
+    graph::EdgeId next = 0;
+    const auto edit = [&](Time t) {
+      steps.edit(t).active.push_back(next);
+      model[t].active.push_back(next);
+      ++next;
+    };
+    for (int op = 0; op < 400; ++op) {
+      const std::uint64_t kind = rng.uniform_index(8);
+      if (kind == 0 && size < 1200) {
+        size += rng.uniform_index(130);  // may be 0: a resize to the same size
+        steps.resize(size);
+        edges.push_back(static_cast<Time>(size - 1));
+      } else if (kind <= 2 && !edges.empty()) {
+        edit(edges.back());
+        edges.pop_back();
+      } else if (kind <= 4) {  // append: at or past the last stored step
+        const Time last = model.empty() ? 0 : model.rbegin()->first;
+        edit(static_cast<Time>(last + rng.uniform_index(size - last)));
+      } else {
+        edit(static_cast<Time>(rng.uniform_index(size)));
+      }
+      if (op % 40 == 0) expect_matches(steps, model, size);
+    }
+    for (const Time t : edges) edit(t);
+    expect_matches(steps, model, size);
+  }
+}
+
 TEST(SparseSteps, EditsOutOfOrderAreVisitedInTimeOrder) {
   // Each step activates edge id == t, so the visit order reads back as t.
   StepTable steps;
@@ -334,6 +406,31 @@ TEST(TraceFingerprint, AnycastThreeGroupsMinHopWithSourcePool) {
   EXPECT_EQ(anycast_fingerprint(AnycastGroups({{5}, {17, 40}, {50, 51, 52}}),
                                 p, 106),
             0x67cecc2936caff85ULL);
+}
+
+/// perfbench's `stack_mac` recipe on the fingerprint field: a long, sparse
+/// min-cost trace from four pinned sources to one pinned sink.
+TEST(TraceFingerprint, StackMacShape) {
+  TraceParams p;
+  p.horizon = 500000;
+  p.injections_per_step = 0.004;
+  p.max_schedule_slack = 50;
+  p.dest_pool = {7};
+  p.source_pool = {12, 25, 38, 51};
+  EXPECT_EQ(unicast_fingerprint(p, 107), 0x831b4a9494df3f5aULL);
+}
+
+/// perfbench's `stack_honeycomb` recipe on the fingerprint field: min-hop
+/// schedules from four pinned sources to one pinned sink.
+TEST(TraceFingerprint, StackHoneycombShape) {
+  TraceParams p;
+  p.horizon = 100000;
+  p.injections_per_step = 0.05;
+  p.max_schedule_slack = 100;
+  p.route_min_cost = false;
+  p.dest_pool = {30};
+  p.source_pool = {2, 19, 44, 57};
+  EXPECT_EQ(unicast_fingerprint(p, 108), 0xc5b4e6d808eae3deULL);
 }
 
 }  // namespace
