@@ -14,6 +14,7 @@
 // the optimal throughput, average cost and buffer requirement of the trace
 // known exactly by construction (see DESIGN.md, "OPT surrogates").
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -57,45 +58,62 @@ struct OptStats {
 
 /// The steps of a trace, stored sparsely. Most steps of a certified trace
 /// carry nothing (1-15% carry an injection or an active edge in the
-/// perfbench workloads), so each step is a 4-byte index into a table that
-/// holds only the steps with content; index 0 is one shared empty step.
-/// Reading step t is two loads, with no branch and no allocation.
+/// perfbench workloads), so the table keeps only the steps with content, in
+/// t order, behind a bit-rank index: one presence bit per step and, per
+/// 64-step word, the slot of that word's first stored step. The index ends
+/// at the last word that stores a step, so a table costs O(stored steps +
+/// last stored t / 64) memory, not O(size()). Reading step t is a bit test,
+/// a popcount and a load; every step that is not stored reads as one shared
+/// empty step (slot 0).
 ///
 /// Reads look like a `const std::vector<StepSpec>`: `steps[t]`, `size()`,
 /// `empty()` and range-for over every step in t order. The only way to
 /// change a step is `edit(t)`, so no reader materialises steps by accident.
 class StepTable {
  public:
-  /// Walks the step index in t order (what range-for needs, no more).
+  /// Walks every step in t order (what range-for needs, no more).
   class const_iterator {
    public:
-    const_iterator(const std::uint32_t* at, const StepSpec* stored)
-        : at_(at), stored_(stored) {}
-    const StepSpec& operator*() const { return stored_[*at_]; }
+    const_iterator(const StepTable* table, std::size_t t)
+        : table_(table), t_(t) {}
+    const StepSpec& operator*() const { return (*table_)[t_]; }
     const_iterator& operator++() {
-      ++at_;
+      ++t_;
       return *this;
     }
-    bool operator==(const const_iterator& o) const { return at_ == o.at_; }
+    bool operator==(const const_iterator& o) const { return t_ == o.t_; }
 
    private:
-    const std::uint32_t* at_;
-    const StepSpec* stored_;
+    const StepTable* table_;
+    std::size_t t_;
   };
 
-  std::size_t size() const { return index_.size(); }
-  bool empty() const { return index_.empty(); }
-  const StepSpec& operator[](std::size_t t) const { return stored_[index_[t]]; }
-  const_iterator begin() const { return {index_.data(), stored_.data()}; }
-  const_iterator end() const {
-    return {index_.data() + index_.size(), stored_.data()};
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  const StepSpec& operator[](std::size_t t) const {
+    TN_DCHECK(t < size_);
+    const std::size_t w = t / 64;
+    if (w >= bits_.size()) return stored_[0];
+    const std::uint64_t word = bits_[w];
+    const std::uint64_t bit = std::uint64_t{1} << (t % 64);
+    if ((word & bit) == 0) return stored_[0];
+    return stored_[rank_[w] + static_cast<std::size_t>(
+                                  std::popcount(word & (bit - 1)))];
   }
+  const_iterator begin() const { return {this, 0}; }
+  const_iterator end() const { return {this, size_}; }
 
   /// Appends empty steps up to `size` steps. A table never shrinks.
   void resize(std::size_t size);
 
+  /// Room for `stored` stored steps, so that editing that many steps in
+  /// increasing t allocates the store once.
+  void reserve(std::size_t stored);
+
   /// Step t for writing; stores it first if it was empty. The reference,
   /// and any reference from operator[], is valid until the next edit().
+  /// Editing at or past the last stored step appends in O(1); storing a new
+  /// step before it shifts the later steps, O(stored steps).
   StepSpec& edit(Time t);
 
   /// Number of steps stored (those ever passed to edit()).
@@ -105,19 +123,18 @@ class StepTable {
   /// skipped, so a pass costs O(stored steps), not O(size()).
   template <class F>
   void for_each_stored(F&& f) {
-    for (const std::uint32_t i : slots_by_time()) f(stored_[i]);
+    for (std::size_t i = 1; i < stored_.size(); ++i) f(stored_[i]);
   }
   template <class F>
   void for_each_stored(F&& f) const {
-    for (const std::uint32_t i : slots_by_time()) f(stored_[i]);
+    for (std::size_t i = 1; i < stored_.size(); ++i) f(stored_[i]);
   }
 
  private:
-  std::vector<std::uint32_t> slots_by_time() const;
-
-  std::vector<std::uint32_t> index_;             ///< per step: slot in stored_
+  std::size_t size_ = 0;
+  std::vector<std::uint64_t> bits_;  ///< per word: which of its steps are stored
+  std::vector<std::uint32_t> rank_;  ///< per word: slot of its first stored step
   std::vector<StepSpec> stored_ = {StepSpec{}};  ///< slot 0: the empty step
-  std::vector<Time> times_ = {0};                ///< per slot: its step t
 };
 
 struct AdversaryTrace {
