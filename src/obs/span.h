@@ -68,7 +68,9 @@ class SpanContextScope {
 /// RAII span: opening finds/creates the child node of the current span with
 /// this name, bumps its count, and makes it current; closing adds the
 /// elapsed wall time and restores the parent. When recording is disabled
-/// (obs::set_recording(false)) construction is a no-op.
+/// (obs::set_recording(false)) construction is a no-op. `name` must be a
+/// string literal (or another string that never changes): each thread
+/// caches its lookups by the name's address.
 class Span {
  public:
   explicit Span(const char* name);

@@ -140,5 +140,74 @@ TEST_F(SpanTest, PoolJobsInheritTheDispatchersSpan) {
   tn::set_num_threads(1);
 }
 
+TEST_F(SpanTest, SpansAfterResetLandInTheNewTree) {
+  // Each thread caches its (parent, name) lookups; a reset must drop them,
+  // or the reopened spans would count into the deleted tree.
+  for (int run = 0; run < 3; ++run) {
+    reset_spans();
+    for (int i = 0; i < 2; ++i) {
+      Span outer("outer");
+      Span inner("inner");
+    }
+    const auto roots = span_snapshot();
+    ASSERT_EQ(roots.size(), 1U) << "run " << run;
+    EXPECT_EQ(roots[0].count, 2U) << "run " << run;
+    ASSERT_EQ(roots[0].children.size(), 1U) << "run " << run;
+    EXPECT_EQ(roots[0].children[0].count, 2U) << "run " << run;
+  }
+}
+
+TEST_F(SpanTest, OneNameUnderTwoParentsMakesTwoNodes) {
+  const char* const leaf = "leaf";
+  for (int i = 0; i < 3; ++i) {
+    {
+      Span a("a");
+      Span l(leaf);
+    }
+    {
+      Span b("b");
+      Span l(leaf);
+    }
+    Span l(leaf);
+  }
+  const auto roots = span_snapshot();
+  ASSERT_EQ(roots.size(), 3U);
+  for (const char* parent : {"a", "b"}) {
+    const SpanSnapshot* p = find(roots, parent);
+    ASSERT_NE(p, nullptr) << parent;
+    ASSERT_EQ(p->children.size(), 1U) << parent;
+    EXPECT_EQ(p->children[0].name, "leaf");
+    EXPECT_EQ(p->children[0].count, 3U) << parent;
+  }
+  const SpanSnapshot* top = find(roots, "leaf");
+  ASSERT_NE(top, nullptr);
+  EXPECT_EQ(top->count, 3U);
+}
+
+TEST_F(SpanTest, PoolWorkerSpansAfterResetLandInTheNewTree) {
+  // The workers keep their own lookup caches across jobs; after a reset
+  // their spans must still attach under the dispatcher's new phase node.
+  tn::set_num_threads(4);
+  for (int run = 0; run < 3; ++run) {
+    reset_spans();
+    for (int job = 0; job < 2; ++job) {
+      Span phase("phase");
+      tn::parallel_for(64, 1, [](std::size_t, std::size_t) {
+        Span leaf("leaf");
+        Span deeper("deeper");
+      });
+    }
+    const auto roots = span_snapshot();
+    ASSERT_EQ(roots.size(), 1U) << "run " << run;
+    EXPECT_EQ(roots[0].count, 2U) << "run " << run;
+    ASSERT_EQ(roots[0].children.size(), 1U) << "run " << run;
+    const SpanSnapshot& leaf = roots[0].children[0];
+    EXPECT_EQ(leaf.count, 128U) << "run " << run;
+    ASSERT_EQ(leaf.children.size(), 1U) << "run " << run;
+    EXPECT_EQ(leaf.children[0].count, 128U) << "run " << run;
+  }
+  tn::set_num_threads(1);
+}
+
 }  // namespace
 }  // namespace thetanet::obs
