@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "core/theta_topology.h"
+#include "geom/vec2.h"
 #include "interference/model.h"
 #include "topology/transmission_graph.h"
 #include "verify/conformance.h"
@@ -72,14 +73,30 @@ TEST(ThetaInvariantChecker, FlagsForeignEdge) {
       verify::build_scenario_deployment(uniform_spec(32, 6));
   const graph::Graph gstar = topo::build_transmission_graph(d);
   const core::ThetaTopology tt(d, kTheta);
-  graph::GraphBuilder b = edges_of(tt.graph());
-  // An out-of-range fabricated edge violates range, G*-membership, and the
+  // The node farthest from node 0 is out of its range, so G* lacks the
+  // edge between them.
+  graph::NodeId far = 0;
+  for (graph::NodeId v = 1; v < d.size(); ++v)
+    if (geom::dist(d.positions[0], d.positions[v]) >
+        geom::dist(d.positions[0], d.positions[far]))
+      far = v;
+  ASSERT_GT(geom::dist(d.positions[0], d.positions[far]), d.max_range);
+  ASSERT_FALSE(gstar.has_edge(0, far));
+  // The fabricated edge violates range, G*-membership, and the
   // stored-weight consistency rules at once.
-  b.add_edge(0, static_cast<graph::NodeId>(d.size() - 1), 99.0, 99.0);
+  graph::GraphBuilder b = edges_of(tt.graph());
+  b.add_edge(0, far, 99.0, 99.0);
   const graph::Graph mutated = std::move(b).build();
   const verify::CheckReport r =
       verify::check_theta_invariants(mutated, d, kTheta, gstar, &tt);
   EXPECT_FALSE(r.pass());
+  for (const char* rule :
+       {"structure/edge-in-range", "structure/subgraph-of-gstar",
+        "structure/edge-length", "structure/edge-cost"}) {
+    bool fired = false;
+    for (const verify::Violation& v : r.violations) fired |= v.rule == rule;
+    EXPECT_TRUE(fired) << rule << " did not fire:\n" << r.to_string();
+  }
 }
 
 TEST(EnergyStretchChecker, PassesOnGenuineConstruction) {
