@@ -30,6 +30,9 @@ const DistributionSnapshot* find_dist(const MetricsSnapshot& s,
     if (d.name == name) return &d;
   return nullptr;
 }
+// The result points into `s`, so `s` must outlive it.
+const DistributionSnapshot* find_dist(MetricsSnapshot&&,
+                                      std::string_view) = delete;
 
 TEST_F(MetricsTest, CounterAccumulatesAndResets) {
   const Counter c("test.counter_a");
@@ -87,8 +90,8 @@ TEST_F(MetricsTest, DistributionStatsAreExactForCountMinMaxSum) {
 
 TEST_F(MetricsTest, EmptyDistributionReportsZeros) {
   const Distribution d("test.dist_empty");
-  const DistributionSnapshot* ds =
-      find_dist(MetricsRegistry::global().snapshot(), "test.dist_empty");
+  const MetricsSnapshot s = MetricsRegistry::global().snapshot();
+  const DistributionSnapshot* ds = find_dist(s, "test.dist_empty");
   ASSERT_NE(ds, nullptr);
   EXPECT_EQ(ds->count, 0U);
   EXPECT_EQ(ds->min, 0U);
@@ -103,8 +106,8 @@ TEST_F(MetricsTest, QuantilesAreBucketUpperBounds) {
   // (upper bound 1); p99 has rank ceil(0.99*100)=99, still in the 1-bucket.
   for (int i = 0; i < 99; ++i) d.record(1);
   d.record(1000);
-  const DistributionSnapshot* ds =
-      find_dist(MetricsRegistry::global().snapshot(), "test.dist_q");
+  MetricsSnapshot s = MetricsRegistry::global().snapshot();
+  const DistributionSnapshot* ds = find_dist(s, "test.dist_q");
   ASSERT_NE(ds, nullptr);
   EXPECT_EQ(ds->p50, 1U);
   EXPECT_EQ(ds->p99, 1U);
@@ -114,7 +117,9 @@ TEST_F(MetricsTest, QuantilesAreBucketUpperBounds) {
   // upper bound — for 1000 (bit_width 10) that is 1023.
   MetricsRegistry::global().reset();
   for (int i = 0; i < 10; ++i) d.record(1000);
-  ds = find_dist(MetricsRegistry::global().snapshot(), "test.dist_q");
+  s = MetricsRegistry::global().snapshot();
+  ds = find_dist(s, "test.dist_q");
+  ASSERT_NE(ds, nullptr);
   EXPECT_EQ(ds->p50, 1023U);
   EXPECT_EQ(ds->p99, 1023U);
 }
@@ -123,8 +128,8 @@ TEST_F(MetricsTest, ZeroValueSamplesLandInTheZeroBucket) {
   const Distribution d("test.dist_zero");
   d.record(0);
   d.record(0);
-  const DistributionSnapshot* ds =
-      find_dist(MetricsRegistry::global().snapshot(), "test.dist_zero");
+  const MetricsSnapshot s = MetricsRegistry::global().snapshot();
+  const DistributionSnapshot* ds = find_dist(s, "test.dist_zero");
   ASSERT_NE(ds, nullptr);
   EXPECT_EQ(ds->min, 0U);
   EXPECT_EQ(ds->p50, 0U);
@@ -161,8 +166,8 @@ TEST_F(MetricsTest, CrossThreadCountsMergeExactly) {
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(MetricsRegistry::global().counter_value("test.cross_thread"),
             kThreads * kPerThread);
-  const DistributionSnapshot* ds = find_dist(
-      MetricsRegistry::global().snapshot(), "test.cross_thread_dist");
+  const MetricsSnapshot s = MetricsRegistry::global().snapshot();
+  const DistributionSnapshot* ds = find_dist(s, "test.cross_thread_dist");
   ASSERT_NE(ds, nullptr);
   EXPECT_EQ(ds->count, kThreads * kPerThread);
 }
