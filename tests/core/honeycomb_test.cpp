@@ -202,15 +202,17 @@ std::uint32_t tallest_buffer(const BalancingRouter& router, graph::NodeId v) {
 }
 
 // The contestant selection as a scan over all 2E directed pairs, in (edge id,
-// forward before backward) order: the reference oracle for select(). With
-// `skip_at_or_below` set it drops every pair whose sender's tallest buffer
-// less gamma * c is at most that value — select()'s per-pair bound moved
-// past T, the planted over-prune the comparison must catch.
-std::vector<PlannedTx> dense_select(
+// forward before backward) order: the reference oracle for select(). Returns
+// each hexagon's winner in the winner map's iteration order, the order in
+// which select() draws their coins, and fills every statistic (none depends
+// on the coins). With `skip_at_or_below` set it drops every pair whose
+// sender's tallest buffer less gamma * c is at most that value —
+// select()'s per-pair bound moved past T, the planted over-prune the
+// comparison must catch.
+std::vector<PlannedTx> dense_winners(
     const HoneycombMac& mac, const topo::Deployment& d,
     const graph::Graph& unit, const BalancingRouter& router,
-    std::span<const double> costs, geom::Rng& rng,
-    HoneycombMac::SelectionStats* stats,
+    std::span<const double> costs, HoneycombMac::SelectionStats* stats,
     std::optional<double> skip_at_or_below = std::nullopt) {
   std::unordered_map<geom::HexCell, PlannedTx, geom::HexCellHash> winner;
   HoneycombMac::SelectionStats local;
@@ -235,18 +237,40 @@ std::vector<PlannedTx> dense_select(
         winner[cell] = *tx;
     }
   }
-  std::vector<PlannedTx> chosen;
+  std::vector<PlannedTx> winners;
   for (const auto& [cell, tx] : winner) {
     ++local.contestants;
     local.contestant_benefit_sum += tx.benefit;
-    if (rng.bernoulli(mac.params().p_t)) chosen.push_back(tx);
+    winners.push_back(tx);
   }
+  if (stats != nullptr) *stats = local;
+  return winners;
+}
+
+// The winners' coins, one rng.bernoulli(p_t) per winner in map order, with
+// the transmissions sorted as select() returns them.
+std::vector<PlannedTx> flip_coins(const HoneycombMac& mac,
+                                  std::span<const PlannedTx> winners,
+                                  geom::Rng& rng) {
+  std::vector<PlannedTx> chosen;
+  for (const PlannedTx& tx : winners)
+    if (rng.bernoulli(mac.params().p_t)) chosen.push_back(tx);
   std::sort(chosen.begin(), chosen.end(),
             [](const PlannedTx& a, const PlannedTx& b) {
               return a.edge < b.edge || (a.edge == b.edge && a.from < b.from);
             });
-  if (stats != nullptr) *stats = local;
   return chosen;
+}
+
+std::vector<PlannedTx> dense_select(
+    const HoneycombMac& mac, const topo::Deployment& d,
+    const graph::Graph& unit, const BalancingRouter& router,
+    std::span<const double> costs, geom::Rng& rng,
+    HoneycombMac::SelectionStats* stats,
+    std::optional<double> skip_at_or_below = std::nullopt) {
+  return flip_coins(
+      mac, dense_winners(mac, d, unit, router, costs, stats, skip_at_or_below),
+      rng);
 }
 
 // Everything a selection leaves behind: its transmissions, its statistics
@@ -500,6 +524,49 @@ TEST(Honeycomb, SelectReuseMatchesFreshSelection) {
     step(c, "old copy", t);
   }
   EXPECT_EQ(rounds, 240U + 120U + 2U + 3U * 58U);
+}
+
+// select()'s coins are rng.bernoulli(p_t), one per winner in the memo's
+// order (the winner map's iteration order, which dense_winners rebuilds),
+// on memo misses and hits alike, and afterwards the rng sits exactly where
+// that loop leaves it. Several p_t, so the coin is not one fixed constant.
+TEST(Honeycomb, SelectCoinsReplayTheBernoulliLoop) {
+  const HcFixture f(91);
+  const std::vector<double> costs = f.costs();
+  std::size_t coins = 0, hits = 0, rounds = 0;
+  for (const double p_t : {1.0 / 6.0, 1.0 / 7.0, 0.1, 0.01}) {
+    const HoneycombMac mac(f.d, f.unit, HoneycombParams{0.5, p_t});
+    BalancingRouter router(f.d.size(), {0.5, 0.3, 64});
+    geom::Rng rng(static_cast<std::uint64_t>(1.0 / p_t));
+    std::uint64_t next_id = 0;
+    std::uint64_t last_stamp = 0;
+    route::RunMetrics m;
+    for (route::Time t = 0; t < 150; ++t) {
+      if (t % 50 == 0) load(f, router, rng, 60, 200, next_id);
+      HoneycombMac::SelectionStats s_select, s_replay;
+      const std::vector<PlannedTx> winners =
+          dense_winners(mac, f.d, f.unit, router, costs, &s_replay);
+      geom::Rng replay = rng;
+      const Outcome expected =
+          finish(flip_coins(mac, winners, replay), s_replay, replay);
+      if (router.buffers().stamp() == last_stamp) ++hits;
+      last_stamp = router.buffers().stamp();
+      auto txs = mac.select(router, costs, rng, &s_select);
+      geom::Rng after = rng;
+      ASSERT_TRUE(same_outcome(finish(txs, s_select, after), expected))
+          << "p_t=" << p_t << " round=" << t;
+      coins += winners.size();
+      ++rounds;
+      // Execute every third round only, so most selections reuse the memo.
+      if (t % 3 == 0) {
+        router.execute(txs, mac.resolve(txs), costs, t, m);
+        router.end_step(m);
+      }
+    }
+  }
+  EXPECT_EQ(rounds, 4U * 150U);
+  EXPECT_GT(hits, rounds / 2);
+  EXPECT_GT(coins, 2U * rounds);
 }
 
 }  // namespace

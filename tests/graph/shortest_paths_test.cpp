@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <queue>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "geom/rng.h"
+#include "topology/builder.h"
+#include "topology/distributions.h"
 
 namespace thetanet::graph {
 namespace {
@@ -113,6 +118,112 @@ TEST(Dijkstra, StopAfterSettledTruncatesSearch) {
   EXPECT_DOUBLE_EQ(t.dist[1], 1.0);
   // Node 2 was relaxed but nodes beyond were not.
   EXPECT_EQ(t.dist[4], kUnreachable);
+}
+
+// --- hop trees against the heap order --------------------------------------
+
+/// The binary-heap Dijkstra, kept as the reference for every weight: pops
+/// (dist, id) pairs and relaxes with a strict <, so with unit weights each
+/// node hangs off its smallest-id neighbour one level up.
+ShortestPathTree heap_dijkstra(const Graph& g, std::span<const NodeId> sources,
+                               Weight weight, std::size_t stop_after_settled) {
+  const std::size_t n = g.num_nodes();
+  ShortestPathTree t;
+  t.dist.assign(n, kUnreachable);
+  t.parent.assign(n, kInvalidNode);
+  t.via_edge.assign(n, kInvalidEdge);
+  using Entry = std::pair<double, NodeId>;
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
+  for (const NodeId s : sources) {
+    t.dist[s] = 0.0;
+    heap.emplace(0.0, s);
+  }
+  std::size_t settled = 0;
+  std::vector<bool> done(n, false);
+  while (!heap.empty()) {
+    const auto [d, u] = heap.top();
+    heap.pop();
+    if (done[u]) continue;
+    done[u] = true;
+    ++settled;
+    if (stop_after_settled > 0 && settled >= stop_after_settled) break;
+    for (const Half& h : g.neighbors(u)) {
+      const double nd = d + edge_weight(g, h.edge, weight);
+      if (nd < t.dist[h.to]) {
+        t.dist[h.to] = nd;
+        t.parent[h.to] = u;
+        t.via_edge[h.to] = h.edge;
+        heap.emplace(nd, h.to);
+      }
+    }
+  }
+  return t;
+}
+
+testing::AssertionResult same_tree(const ShortestPathTree& a,
+                                   const ShortestPathTree& b) {
+  for (NodeId v = 0; v < a.dist.size(); ++v)
+    if (std::bit_cast<std::uint64_t>(a.dist[v]) !=
+            std::bit_cast<std::uint64_t>(b.dist[v]) ||
+        a.parent[v] != b.parent[v] || a.via_edge[v] != b.via_edge[v])
+      return testing::AssertionFailure()
+             << "node " << v << ": dist " << a.dist[v] << " vs " << b.dist[v]
+             << ", parent " << a.parent[v] << " vs " << b.parent[v]
+             << ", via " << a.via_edge[v] << " vs " << b.via_edge[v];
+  return testing::AssertionSuccess();
+}
+
+// Every zoo builder on a connected and a disconnected field: single sources,
+// multi-source sets (unsorted, with duplicates) and truncated searches give
+// the heap's dist, parent and via_edge under every weight.
+TEST(Dijkstra, MatchesTheHeapOrderOnZooFamilies) {
+  std::size_t hop_cases = 0, cut_off = 0, unreached = 0;
+  for (const double range : {0.3, 0.12}) {
+    geom::Rng rng(range > 0.2 ? 5 : 6);
+    topo::Deployment d;
+    d.positions = topo::uniform_square(90, 1.0, rng);
+    d.max_range = range;
+    d.kappa = 2.0;
+    const std::size_t n = d.size();
+    for (const topo::TopologyBuilder& builder : topo::builder_registry()) {
+      const Graph g = builder.build(d);
+      std::vector<std::vector<NodeId>> source_sets;
+      for (NodeId s = 0; s < n; s += 11) source_sets.push_back({s});
+      source_sets.push_back({40, 3, 17});
+      source_sets.push_back({5, 5, 12, 5});
+      source_sets.push_back({89, 0, 0, 44, 89});
+      for (const Weight weight :
+           {Weight::kHops, Weight::kCost, Weight::kLength}) {
+        for (const std::vector<NodeId>& sources : source_sets) {
+          for (const std::size_t stop :
+               {std::size_t{0}, std::size_t{1}, std::size_t{2},
+                std::size_t{7}, n / 3, n, n + 5}) {
+            const ShortestPathTree want =
+                heap_dijkstra(g, sources, weight, stop);
+            const ShortestPathTree got =
+                sources.size() == 1 ? dijkstra(g, sources[0], weight, stop)
+                                    : dijkstra(g, sources, weight, stop);
+            ASSERT_TRUE(same_tree(got, want))
+                << builder.name << " range " << range << " weight "
+                << static_cast<int>(weight) << " sources "
+                << sources.size() << " stop " << stop;
+            if (weight != Weight::kHops) continue;
+            ++hop_cases;
+            if (stop > 0 && stop < n / 2) ++cut_off;
+            if (stop == 0)
+              for (const double x : want.dist)
+                if (x == kUnreachable) {
+                  ++unreached;
+                  break;
+                }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(hop_cases, 1000U);
+  EXPECT_GT(cut_off, hop_cases / 3);
+  EXPECT_GT(unreached, hop_cases / 20);
 }
 
 TEST(BfsHops, CountsEdges) {

@@ -392,6 +392,14 @@ TEST(TraceFingerprint, UnicastTightSlack) {
   EXPECT_EQ(unicast_fingerprint(p, 104), 0x3fadbf033081e576ULL);
 }
 
+/// A fractional rate: one fixed attempt per step plus a Bernoulli(0.5)
+/// second one.
+TEST(TraceFingerprint, UnicastFractionalRate) {
+  TraceParams p = short_trace();
+  p.injections_per_step = 1.5;
+  EXPECT_EQ(unicast_fingerprint(p, 109), 0x7d287148431e699bULL);
+}
+
 TEST(TraceFingerprint, AnycastTwoGroups) {
   EXPECT_EQ(anycast_fingerprint(AnycastGroups({{0, 1, 2}, {30, 31}}),
                                 short_trace(), 105),
