@@ -29,7 +29,8 @@ HoneycombMac::HoneycombMac(const topo::Deployment& d,
       unit_graph_(&unit_graph),
       params_(params),
       tiling_(params.side_override > 0.0 ? params.side_override
-                                         : 3.0 + 2.0 * params.delta) {
+                                         : 3.0 + 2.0 * params.delta),
+      coin_cut_(geom::Rng::bernoulli_cut(params.p_t)) {
   TN_ASSERT_MSG(unit_graph.num_nodes() == d.size(),
                 "unit graph and deployment must have the same nodes");
   TN_ASSERT_MSG(2 * unit_graph.num_edges() < (std::size_t{1} << kIndexBits),
@@ -121,11 +122,15 @@ std::vector<PlannedTx> HoneycombMac::select(const BalancingRouter& router,
   local.candidate_benefit_sum = memo_.candidate_benefit_sum;
   std::vector<PlannedTx> chosen;
   chosen.reserve(memo_.winners.size());
+  // rng.bernoulli(p_t) per winner, through the cut and a local copy of `rng`
+  // (in registers; written back after the loop).
+  geom::Rng coins = rng;
   for (const PlannedTx& tx : memo_.winners) {
     ++local.contestants;
     local.contestant_benefit_sum += tx.benefit;
-    if (rng.bernoulli(params_.p_t)) chosen.push_back(tx);
+    if (coins.bernoulli_below(coin_cut_)) chosen.push_back(tx);
   }
+  rng = coins;
   // Deterministic execution order regardless of hash-map iteration.
   std::sort(chosen.begin(), chosen.end(),
             [](const PlannedTx& a, const PlannedTx& b) {

@@ -97,6 +97,7 @@ class HoneycombMac {
   const graph::Graph* unit_graph_;
   HoneycombParams params_;
   geom::HexTiling tiling_;
+  std::uint64_t coin_cut_;  ///< geom::Rng::bernoulli_cut(params_.p_t)
 
   // A pair that cleared T, with its sender's hexagon.
   struct Candidate {

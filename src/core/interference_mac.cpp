@@ -22,8 +22,13 @@ RandomizedMac::RandomizedMac(const graph::Graph& topo,
 
 std::vector<graph::EdgeId> RandomizedMac::activate(geom::Rng& rng) const {
   std::vector<graph::EdgeId> active;
+  // The draws go through a local copy, written back at the end: on `rng`
+  // itself, which push_back's operator new might alias, every edge would
+  // load and store the whole generator state.
+  geom::Rng local = rng;
   for (graph::EdgeId e = 0; e < cuts_.size(); ++e)
-    if (rng.bernoulli_below(cuts_[e])) active.push_back(e);
+    if (local.bernoulli_below(cuts_[e])) active.push_back(e);
+  rng = local;
   return active;
 }
 

@@ -39,7 +39,9 @@ class RandomizedMac {
   /// draw is compared with an integer cut precomputed per edge
   /// (geom::Rng::bernoulli_cut), so a round costs one draw, a shift and a
   /// compare per edge, and draws and outcomes are exactly those of
-  /// rng.bernoulli(activation_prob(e)).
+  /// rng.bernoulli(activation_prob(e)). The loop draws through a local copy
+  /// of `rng`, written back when it ends, so the generator state stays in
+  /// registers.
   std::vector<graph::EdgeId> activate(geom::Rng& rng) const;
 
   /// Collision outcome for the transmissions the router actually makes:
@@ -80,8 +82,10 @@ class SlottedAlohaMac {
   /// rng.bernoulli(p) per edge in edge-id order, through one integer cut.
   std::vector<graph::EdgeId> activate(geom::Rng& rng) const {
     std::vector<graph::EdgeId> active;
+    geom::Rng local = rng;  // in registers; see RandomizedMac::activate
     for (graph::EdgeId e = 0; e < topo_->num_edges(); ++e)
-      if (rng.bernoulli_below(cut_)) active.push_back(e);
+      if (local.bernoulli_below(cut_)) active.push_back(e);
+    rng = local;
     return active;
   }
 

@@ -27,6 +27,40 @@ ShortestPathTree dijkstra(const Graph& g, std::span<const NodeId> sources,
   t.parent.assign(n, kInvalidNode);
   t.via_edge.assign(n, kInvalidEdge);
 
+  if (weight == Weight::kHops) {
+    // Unit weights: the heap below would settle nodes in (hops, id) order,
+    // and its strict < hangs each node off the first of its neighbours one
+    // level up to be settled, the smallest-id one. A level-order BFS that
+    // settles each level in ascending id order builds the same tree, stops
+    // at the same settled count, and needs no heap.
+    std::vector<NodeId> level(sources.begin(), sources.end());
+    for (const NodeId s : level) {
+      TN_ASSERT(s < n);
+      t.dist[s] = 0.0;
+    }
+    std::sort(level.begin(), level.end());
+    level.erase(std::unique(level.begin(), level.end()), level.end());
+    std::vector<NodeId> next;
+    std::size_t settled = 0;
+    for (double d = 1.0; !level.empty(); d += 1.0) {
+      for (const NodeId u : level) {
+        ++settled;
+        if (stop_after_settled > 0 && settled >= stop_after_settled) return t;
+        for (const Half& h : g.neighbors(u)) {
+          if (t.dist[h.to] != kUnreachable) continue;
+          t.dist[h.to] = d;
+          t.parent[h.to] = u;
+          t.via_edge[h.to] = h.edge;
+          next.push_back(h.to);
+        }
+      }
+      std::sort(next.begin(), next.end());
+      level.swap(next);
+      next.clear();
+    }
+    return t;
+  }
+
   using Entry = std::pair<double, NodeId>;  // (dist, node); min-heap
   std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
   for (const NodeId s : sources) {

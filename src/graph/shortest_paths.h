@@ -25,7 +25,10 @@ struct ShortestPathTree {
 
 /// Dijkstra from `source` minimizing `weight`. If `stop_after_settled` > 0,
 /// the search halts once that many nodes are settled (used for bounded-range
-/// stretch audits).
+/// stretch audits). Nodes settle in (dist, id) order and a node keeps the
+/// first parent that reached its distance; with Weight::kHops that is its
+/// smallest-id neighbour one level up, and the search runs as a level-order
+/// BFS with no heap.
 ShortestPathTree dijkstra(const Graph& g, NodeId source, Weight weight,
                           std::size_t stop_after_settled = 0);
 

@@ -101,12 +101,22 @@ AdversaryTrace certify(const graph::Graph& topo, const TraceParams& params,
   std::size_t num_hops = 0;
   std::vector<graph::EdgeId> path;
   std::uint64_t next_packet_id = 1;
+  // Expected injections_per_step attempts per step: the fixed part, plus one
+  // with the remainder's probability (rng.bernoulli(remainder) through its
+  // cut). The per-step draw goes through a local copy of `rng` that stays in
+  // registers over the steps without an attempt; an attempt body draws from
+  // `rng` itself (so does `target`), so the copy is written back before it
+  // and reloaded after.
+  const double rate = params.injections_per_step;
+  const std::size_t fixed = static_cast<std::size_t>(rate);
+  const std::uint64_t remainder_cut =
+      geom::Rng::bernoulli_cut(rate - static_cast<double>(fixed));
+  geom::Rng step_rng = rng;
   for (Time t = 0; t < params.horizon; ++t) {
-    // Expected injections_per_step attempts: fixed part + Bernoulli remainder.
-    const double rate = params.injections_per_step;
-    std::size_t attempts = static_cast<std::size_t>(rate);
-    if (rng.bernoulli(rate - static_cast<double>(attempts))) ++attempts;
-
+    const std::size_t attempts =
+        fixed + (step_rng.bernoulli_below(remainder_cut) ? 1 : 0);
+    if (attempts == 0) continue;
+    rng = step_rng;
     for (std::size_t a = 0; a < attempts; ++a) {
       const graph::NodeId s = sources[rng.uniform_index(sources.size())];
       path.clear();
@@ -144,7 +154,9 @@ AdversaryTrace certify(const graph::Graph& topo, const TraceParams& params,
       inj.packet = Packet{next_packet_id++, s, dst, t, 0.0, 0};
       inj.schedule = std::move(sched);
     }
+    step_rng = rng;
   }
+  rng = step_rng;
   reserved = {};  // freed before the sorted pairs below are built
 
   // Every booked (slot, edge), in increasing slot, then edge.
