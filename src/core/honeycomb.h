@@ -69,20 +69,34 @@ class HoneycombMac {
   ///
   /// The contestant set depends only on the heights, the costs and
   /// (T, gamma); only the coins are fresh each round. So select() keeps a
-  /// memo of its last full selection — the bank's stamp(), T, gamma, a copy
-  /// of `costs`, the winners in the winner map's iteration order and the
-  /// candidate statistics — and reuses it when the stamp, T and gamma match
-  /// and every cost matches bitwise (by content, not by address: callers
-  /// edit their cost vector in place). A hit skips the sender walk, the
-  /// sort and the map, and draws the coins over the stored winners in the
-  /// stored order, so both paths return the same transmissions, statistics
-  /// and rng draws. A miss builds a fresh winner map: a reused one keeps its
-  /// bucket count, which changes its iteration order and so which
-  /// contestant draws which coin.
+  /// memo of its last selection — the bank's stamp() and journal position,
+  /// T, gamma, a copy of `costs`, every pair that cleared T in (edge id,
+  /// direction) order, the winners in the winner map's iteration order and
+  /// the candidate statistics — and reuses it when the stamp, T and gamma
+  /// match and every cost matches bitwise (by content, not by address:
+  /// callers edit their cost vector in place). A hit skips the sender walk
+  /// and the map, and draws the coins over the stored winners in the stored
+  /// order, so both paths return the same transmissions, statistics and rng
+  /// draws.
+  ///
+  /// A miss with T, gamma and the costs unchanged follows the change: a
+  /// pair's benefit reads only its two endpoints' buffers, so the bank's
+  /// change journal (BufferBank::for_each_change_since) names every node x
+  /// whose pairs may differ. select() drops the stored pairs that touch
+  /// such an x, evaluates (x, ·) and (·, x) afresh, and merges both lists in
+  /// key order. The cold start, a T, gamma or cost change and a journal
+  /// that no longer reaches the memo's state (more than
+  /// BufferBank::kJournalSize entries since, or another bank) walk every
+  /// active sender instead, through the same pair evaluation. Either way the
+  /// winner map is then built fresh from the full pair list: a reused map
+  /// keeps its bucket count, which changes its iteration order and so which
+  /// contestant draws which coin. The costs are copied only when they
+  /// changed.
   ///
   /// The memo and the walk's scratch are mutable state: one HoneycombMac
   /// must not serve concurrent select() calls (the same contract as
-  /// BalancingRouter's plan scratch).
+  /// BalancingRouter's plan scratch). The result vector is allocated only
+  /// when some contestant transmits.
   std::vector<PlannedTx> select(const BalancingRouter& router,
                                 std::span<const double> costs, geom::Rng& rng,
                                 SelectionStats* stats = nullptr) const;
@@ -99,26 +113,39 @@ class HoneycombMac {
   geom::HexTiling tiling_;
   std::uint64_t coin_cut_;  ///< geom::Rng::bernoulli_cut(params_.p_t)
 
-  // A pair that cleared T, with its sender's hexagon.
+  // A pair that cleared T, with its sender's hexagon and its sort key:
+  // (edge id, backward bit), the order of a scan over all directed pairs.
   struct Candidate {
+    std::uint64_t key;
     PlannedTx tx;
     geom::HexCell cell;
   };
-  // select()'s last full selection; stamp 0 (never a bank's stamp) while
-  // empty.
+  // select()'s last selection; stamp 0 (never a bank's stamp) while empty.
   struct Memo {
     std::uint64_t stamp = 0;
+    std::uint64_t position = 0;  // the bank's journal_position() at `stamp`
     double threshold = 0.0;
     double gamma = 0.0;
     std::vector<double> costs;
-    std::vector<PlannedTx> winners;  // in the winner map's iteration order
-    std::size_t candidate_pairs = 0;
+    std::vector<Candidate> candidates;  // ascending by key
+    std::vector<PlannedTx> winners;     // in the winner map's iteration order
     double candidate_benefit_sum = 0.0;
   };
+
+  // Appends pair (s, to) over `edge` to found_ when its benefit clears T.
+  // `tallest` is s's tallest buffer; the pair is skipped unevaluated when
+  // tallest - gamma*c <= T (see select()).
+  void evaluate_pair(const BalancingRouter& router, graph::NodeId s,
+                     graph::NodeId to, graph::EdgeId edge, double tallest,
+                     std::span<const double> costs) const;
+
   mutable Memo memo_;
-  // Reused scratch of select()'s sender walk.
+  // Reused scratch of select(): freshly evaluated pairs, the merge target,
+  // and the changed nodes (listed once each, flagged in changed_flag_).
   mutable std::vector<Candidate> found_;
-  mutable std::vector<std::uint64_t> order_;
+  mutable std::vector<Candidate> merged_;
+  mutable std::vector<graph::NodeId> changed_;
+  mutable std::vector<std::uint8_t> changed_flag_;
 };
 
 }  // namespace thetanet::core

@@ -44,11 +44,27 @@
 // anything computed from the heights under the stamp (the honeycomb MAC's
 // contestant set does).
 //
+// Change journal: a caller that cached something under a stamp can ask
+// which nodes' heights changed since (`for_each_change_since`), and redo
+// only the work that reads those nodes. The journal is a ring of
+// kJournalSize entries, allocated the first time stamp() is read, so a bank
+// whose stamp is never read (the router's) pays one predictable test per
+// link/unlink and nothing else. While it exists, link and unlink append
+// the node id, preceded by a checkpoint holding the replaced stamp when one
+// was drawn for the state they leave. A stamp plus the journal position
+// read with it (`journal_position()`) then locate that state's checkpoint:
+// the nodes after it are exactly the nodes changed since, for this bank and
+// for every copy that descends from that state. A position the ring no
+// longer reaches, or one whose entry is not that checkpoint (an unrelated
+// bank, or a copy taken before that state), answers false.
+//
 // Not thread-safe, not even for concurrent reads: for_each_active_node
 // compacts its (mutable) active-node list in passing.
 
+#include <array>
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -129,7 +145,7 @@ class BufferBank {
     e.head = pool_next_[s];
     const std::uint32_t h = e.height--;
     --total_;
-    stamp_ = 0;
+    if (journal_) journal(v);
     lower_height(h);
     if (h == 1) {
       --node.live;
@@ -270,13 +286,92 @@ class BufferBank {
   /// and relink that moves a packet changes it. A copy shares its source's
   /// stamp until either side changes a height.
   std::uint64_t stamp() const {
-    if (stamp_ == 0)
+    if (stamp_ == 0) {
+      if (!journal_) journal_.allocate();
       stamp_ = next_stamp_.fetch_add(1, std::memory_order_relaxed);
+    }
     return stamp_;
+  }
+
+  /// Entries the change journal keeps: changed-node ids plus one checkpoint
+  /// per stamped state left.
+  static constexpr std::size_t kJournalSize = 256;
+
+  /// The journal position of the current state: read it together with
+  /// stamp() and pass both to for_each_change_since later. 0 before the
+  /// first stamp() read.
+  std::uint64_t journal_position() const {
+    return journal_ ? journal_->end : 0;
+  }
+
+  /// fn(v) for every node whose heights changed since the bank (or the bank
+  /// this one was copied from) was in the state named by `stamp`, read at
+  /// journal position `position`; a node changed several times may be listed
+  /// several times, in no promised order. Returns false, calling fn for
+  /// nothing, when the journal no longer reaches back that far or this bank
+  /// does not descend from that state; then the caller must redo its work
+  /// from scratch. True with no calls when `stamp` is the current stamp.
+  template <typename Fn>
+  bool for_each_change_since(std::uint64_t stamp, std::uint64_t position,
+                             const Fn& fn) const {
+    if (stamp == 0) return false;
+    if (stamp == stamp_) return true;
+    const Journal* j = journal_.get();
+    if (j == nullptr || position >= j->end ||
+        j->end - position > kJournalSize ||
+        j->ring[position % kJournalSize] != checkpoint(stamp))
+      return false;
+    for (std::uint64_t p = position + 1; p < j->end; ++p) {
+      const std::uint64_t x = j->ring[p % kJournalSize];
+      if ((x & 1) == 0) fn(static_cast<graph::NodeId>(x >> 1));
+    }
+    return true;
   }
 
  private:
   static constexpr std::size_t kFull = ~std::size_t{0};
+
+  // The change journal's ring: node ids as id << 1, checkpoints as
+  // stamp << 1 | 1, entry p at ring[p % kJournalSize].
+  struct Journal {
+    std::array<std::uint64_t, kJournalSize> ring{};
+    std::uint64_t end = 0;  // entries ever written
+  };
+  // Owning pointer that deep-copies, so a bank's copy carries its journal.
+  class JournalPtr {
+   public:
+    JournalPtr() = default;
+    JournalPtr(const JournalPtr& o)
+        : p_(o.p_ ? std::make_unique<Journal>(*o.p_) : nullptr) {}
+    JournalPtr(JournalPtr&&) noexcept = default;
+    JournalPtr& operator=(const JournalPtr& o) {
+      if (this != &o) p_ = o.p_ ? std::make_unique<Journal>(*o.p_) : nullptr;
+      return *this;
+    }
+    JournalPtr& operator=(JournalPtr&&) noexcept = default;
+    void allocate() { p_ = std::make_unique<Journal>(); }
+    explicit operator bool() const { return p_ != nullptr; }
+    Journal* operator->() const { return p_.get(); }
+    Journal* get() const { return p_.get(); }
+
+   private:
+    std::unique_ptr<Journal> p_;
+  };
+
+  static std::uint64_t checkpoint(std::uint64_t stamp) {
+    return (stamp << 1) | 1;
+  }
+
+  // A height of node v changes: leave the stamped state (a checkpoint, so
+  // for_each_change_since can find it) and record v.
+  void journal(graph::NodeId v) {
+    Journal& j = *journal_.get();
+    if (stamp_ != 0) {
+      j.ring[j.end++ % kJournalSize] = checkpoint(stamp_);
+      stamp_ = 0;
+    }
+    j.ring[j.end++ % kJournalSize] = std::uint64_t{v} << 1;
+  }
 
   struct Node {
     std::vector<Entry> entries;  // sorted by dest
@@ -337,7 +432,7 @@ class BufferBank {
       }
     }
     ++total_;
-    stamp_ = 0;
+    if (journal_) journal(v);
     raise_height(h + 1);
   }
 
@@ -378,7 +473,9 @@ class BufferBank {
   std::size_t total_ = 0;
   std::size_t max_height_;
   // Content stamp (see stamp()); 0 until drawn after the last height change.
+  // Nonzero only once the journal exists.
   mutable std::uint64_t stamp_ = 0;
+  mutable JournalPtr journal_;  // null until stamp() is first read
   static inline std::atomic<std::uint64_t> next_stamp_{1};
 };
 

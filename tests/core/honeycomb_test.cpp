@@ -65,6 +65,8 @@ TEST(Honeycomb, RejectsMismatchedInputs) {
   EXPECT_DEATH(mac.select(router, short_costs, rng), "one entry per");
   const BalancingRouter negative_gamma(f.d.size(), {0.5, -1.0, 64});
   EXPECT_DEATH(mac.select(negative_gamma, f.costs(), rng), "gamma >= 0");
+  const BalancingRouter more_nodes(f.d.size() + 1, {0.5, 0.0, 64});
+  EXPECT_DEATH(mac.select(more_nodes, f.costs(), rng), "same nodes");
 }
 
 TEST(Honeycomb, AtMostOneContestantPerHexagon) {
@@ -567,6 +569,115 @@ TEST(Honeycomb, SelectCoinsReplayTheBernoulliLoop) {
   EXPECT_EQ(rounds, 4U * 150U);
   EXPECT_GT(hits, rounds / 2);
   EXPECT_GT(coins, 2U * rounds);
+}
+
+// A memo miss with (T, gamma) and the costs unchanged re-evaluates only the
+// pairs around the nodes the bank's change journal names. One long-lived MAC
+// runs thousands of rounds and every select() must equal a fresh full scan:
+// transmissions, statistics and rng draws. The trajectory mixes rounds that
+// follow the journal with every reason to walk all senders instead: bursts
+// that overflow the journal, in-place cost edits, switches between routers
+// of different (T, gamma), and two copies of one router that alternate.
+TEST(Honeycomb, SelectFollowingTheJournalMatchesFreshSelection) {
+  const HcFixture f(92);
+  const HoneycombMac mac(f.d, f.unit, HoneycombParams{0.5, 1.0 / 6.0});
+  std::vector<double> costs = f.costs();
+  const std::vector<double> base = costs;
+  geom::Rng rng(47);
+  std::uint64_t next_id = 0;
+  route::RunMetrics m;
+  std::size_t rounds = 0;
+  // A packet from a random node to one of two fixed destinations on every
+  // other round: a few journal entries per round.
+  const std::array<graph::NodeId, 2> sinks{7, 71};
+  const auto trickle = [&](BalancingRouter& router, route::Time t) {
+    if (t % 2 != 0) return;
+    const auto s = static_cast<graph::NodeId>(rng.uniform_index(f.d.size()));
+    const graph::NodeId d = sinks[rng.uniform_index(sinks.size())];
+    if (s != d) router.inject(route::Packet{next_id++, s, d, 0, 0.0, 0}, m);
+  };
+  // Why each select() had to do what it did, judged from outside: the memo
+  // holds the last call's router, stamp, journal position and costs.
+  std::size_t followed = 0, walked = 0, rule_changed = 0;
+  const BalancingRouter* last_router = nullptr;
+  std::uint64_t last_stamp = 0, last_position = 0;
+  std::vector<double> last_costs;
+  const auto step = [&](BalancingRouter& router, const char* phase,
+                        route::Time t) {
+    const route::BufferBank& bank = router.buffers();
+    const bool same_rule =
+        last_router != nullptr &&
+        last_router->params().threshold == router.params().threshold &&
+        last_router->params().gamma == router.params().gamma &&
+        last_costs == costs;
+    if (!same_rule) {
+      ++rule_changed;
+    } else if (bank.stamp() != last_stamp) {
+      const bool reaches = bank.for_each_change_since(
+          last_stamp, last_position, [](graph::NodeId) {});
+      ++(reaches ? followed : walked);
+    }
+    geom::Rng rng_select = rng;
+    geom::Rng rng_dense = rng;
+    HoneycombMac::SelectionStats s_select, s_dense;
+    auto txs = mac.select(router, costs, rng_select, &s_select);
+    const Outcome fast = finish(txs, s_select, rng_select);
+    const Outcome ref = finish(
+        dense_select(mac, f.d, f.unit, router, costs, rng_dense, &s_dense),
+        s_dense, rng_dense);
+    EXPECT_TRUE(same_outcome(fast, ref)) << phase << " round " << t;
+    last_router = &router;
+    last_stamp = bank.stamp();
+    last_position = bank.journal_position();
+    last_costs = costs;
+    rng = rng_select;
+    router.execute(txs, mac.resolve(txs), costs, t, m);
+    router.end_step(m);
+    ++rounds;
+  };
+
+  // Phase 1: one router under a trickle of injections, a burst of 270
+  // packets (past the journal's reach) every 300 rounds, and every 97
+  // rounds the costs switch in place between 1x and 1.25x.
+  BalancingRouter a(f.d.size(), {0.5, 0.3, 64});
+  for (route::Time t = 0; t < 2000; ++t) {
+    if (t % 300 == 0) load(f, a, rng, 80, 270, next_id);
+    trickle(a, t);
+    if (t % 97 == 50) {
+      const double factor = (t / 97) % 2 == 0 ? 1.25 : 1.0;
+      for (std::size_t e = 0; e < costs.size(); ++e)
+        costs[e] = base[e] * factor;
+    }
+    step(a, "single", t);
+  }
+  EXPECT_GT(followed, 1000U);
+  EXPECT_GE(walked, 6U);  // the bursts after the first
+
+  // Phase 2: a copy of the router, then both copies alternate. Whenever
+  // the copy has not moved since it was taken from the memo's state it
+  // descends from that state and follows the journal.
+  BalancingRouter b = a;
+  for (route::Time t = 2000; t < 2600; ++t) {
+    if (t % 50 == 0) b = a;
+    trickle(a, t);
+    step(a, "copy a", t);
+    step(b, "copy b", t);
+  }
+
+  // Phase 3: T and gamma switch: every 25 rounds the MAC serves a router
+  // with other parameters for 5 rounds, then returns to `a`.
+  BalancingRouter c(f.d.size(), {2.0, 0.0, 64});
+  load(f, c, rng, 80, 200, next_id);
+  for (route::Time t = 2600; t < 3600; ++t) {
+    trickle(a, t);
+    const bool switched = t % 25 < 5;
+    if (switched) trickle(c, t + 1);
+    step(switched ? c : a, switched ? "switched c" : "back to a", t);
+  }
+  EXPECT_EQ(rounds, 2000U + 2U * 600U + 1000U);
+  EXPECT_GT(followed, rounds / 3);
+  EXPECT_GT(walked, 500U);  // mostly one copy after the other
+  EXPECT_GT(rule_changed, 2U * 1000U / 25U);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <set>
 #include <tuple>
 #include <vector>
@@ -413,6 +414,154 @@ TEST(BufferBank, FreshBanksNeverShareAStamp) {
     const BufferBank b(2, 4);  // identical (empty) content every time
     EXPECT_TRUE(stamps.insert(b.stamp()).second);
   }
+}
+
+// --- change journal -----------------------------------------------------
+
+// The nodes for_each_change_since lists, as a set; nullopt when it answers
+// false.
+std::optional<std::set<graph::NodeId>> changes_since(const BufferBank& b,
+                                                     std::uint64_t stamp,
+                                                     std::uint64_t position) {
+  std::set<graph::NodeId> nodes;
+  bool called = false;
+  const bool ok = b.for_each_change_since(stamp, position,
+                                          [&](graph::NodeId v) {
+                                            nodes.insert(v);
+                                            called = true;
+                                          });
+  if (!ok) {
+    EXPECT_FALSE(called) << "fn called on a false answer";
+    return std::nullopt;
+  }
+  return nodes;
+}
+
+using Nodes = std::set<graph::NodeId>;
+
+TEST(BufferBank, JournalListsTheNodesChangedSinceAStamp) {
+  BufferBank b(8, 4);
+  EXPECT_EQ(b.journal_position(), 0U);
+  ASSERT_TRUE(b.push(0, mk(1, 0, 7)));  // before any stamp: nothing kept
+  const std::uint64_t s0 = b.stamp();
+  const std::uint64_t p0 = b.journal_position();
+  EXPECT_EQ(changes_since(b, s0, p0), Nodes{});  // the current state
+  ASSERT_TRUE(b.push(1, mk(2, 1, 7)));           // push
+  ASSERT_TRUE(b.push(3, mk(3, 3, 6)));
+  ASSERT_TRUE(b.pop(0, 7).has_value());          // pop
+  EXPECT_EQ(changes_since(b, s0, p0), (Nodes{0, 1, 3}));
+  const std::uint64_t s1 = b.stamp();
+  const std::uint64_t p1 = b.journal_position();
+  const std::uint32_t slot = b.unlink(3, 6);     // unlink
+  ASSERT_NE(slot, BufferBank::kNoSlot);
+  EXPECT_EQ(changes_since(b, s1, p1), (Nodes{3}));
+  ASSERT_TRUE(b.relink(5, 6, slot));             // relink
+  EXPECT_EQ(changes_since(b, s1, p1), (Nodes{3, 5}));
+  EXPECT_EQ(changes_since(b, s0, p0), (Nodes{0, 1, 3, 5}));
+  // A state that was never stamped leaves no checkpoint behind: the next
+  // stamp's changes start after it.
+  ASSERT_TRUE(b.push(2, mk(4, 2, 7)));
+  const std::uint64_t s2 = b.stamp();
+  const std::uint64_t p2 = b.journal_position();
+  b.release(b.unlink(1, 7));
+  EXPECT_EQ(changes_since(b, s2, p2), (Nodes{1}));
+  EXPECT_EQ(changes_since(b, s1, p1), (Nodes{1, 2, 3, 5}));
+  // A stamp with the wrong position is not found.
+  EXPECT_EQ(changes_since(b, s1, p2), std::nullopt);
+  EXPECT_EQ(changes_since(b, 0, 0), std::nullopt);
+}
+
+TEST(BufferBank, JournalKeepsNoOps) {
+  BufferBank b(4, 1);
+  ASSERT_TRUE(b.push(0, mk(1, 0, 3)));  // Q(0, 3) is full
+  ASSERT_TRUE(b.push(1, mk(2, 1, 3)));
+  ASSERT_TRUE(b.push(2, mk(3, 2, 1)));
+  const std::uint32_t moving = b.unlink(2, 1);
+  const std::uint64_t s = b.stamp();
+  const std::uint64_t p = b.journal_position();
+  EXPECT_FALSE(b.push(0, mk(4, 0, 3)));            // full buffer
+  EXPECT_EQ(b.unlink(3, 1), BufferBank::kNoSlot);  // no entries
+  EXPECT_EQ(b.unlink(2, 1), BufferBank::kNoSlot);  // drained: a tombstone
+  EXPECT_EQ(b.unlink(0, 2), BufferBank::kNoSlot);  // absent destination
+  EXPECT_FALSE(b.pop(1, 2).has_value());
+  EXPECT_FALSE(b.relink(1, 3, moving));             // full: slot released
+  EXPECT_EQ(b.journal_position(), p);
+  EXPECT_EQ(b.stamp(), s);
+  EXPECT_EQ(changes_since(b, s, p), Nodes{});
+}
+
+TEST(BufferBank, JournalFollowsACopyDivergingOnBothSides) {
+  BufferBank src(6, 8);
+  ASSERT_TRUE(src.push(0, mk(1, 0, 5)));
+  BufferBank before = src;  // taken before the stamped state
+  ASSERT_TRUE(before.push(4, mk(9, 4, 5)));
+  const std::uint64_t s = src.stamp();
+  const std::uint64_t p = src.journal_position();
+  BufferBank copy = src;
+  ASSERT_TRUE(src.push(1, mk(2, 1, 5)));  // the source changes
+  ASSERT_TRUE(copy.push(2, mk(3, 2, 5)));  // the copy changes
+  ASSERT_TRUE(copy.pop(0, 5).has_value());
+  EXPECT_EQ(changes_since(src, s, p), (Nodes{1}));
+  EXPECT_EQ(changes_since(copy, s, p), (Nodes{0, 2}));
+  EXPECT_EQ(changes_since(before, s, p), std::nullopt);
+  // Each side's later states are its own: the other does not descend from
+  // them, although both journals sit at the same position.
+  const std::uint64_t ss = src.stamp();
+  const std::uint64_t sp = src.journal_position();
+  const std::uint64_t cs = copy.stamp();
+  const std::uint64_t cp = copy.journal_position();
+  ASSERT_TRUE(src.push(3, mk(4, 3, 5)));
+  ASSERT_TRUE(copy.push(3, mk(5, 3, 5)));
+  EXPECT_EQ(changes_since(src, ss, sp), (Nodes{3}));
+  EXPECT_EQ(changes_since(copy, cs, cp), (Nodes{3}));
+  EXPECT_EQ(changes_since(copy, ss, sp), std::nullopt);
+  EXPECT_EQ(changes_since(src, cs, cp), std::nullopt);
+  // Assignment carries the journal as copy construction does.
+  BufferBank assigned(1, 1);
+  assigned = src;
+  EXPECT_EQ(changes_since(assigned, ss, sp), (Nodes{3}));
+}
+
+TEST(BufferBank, JournalAnswersFalseOnceItNoLongerReachesTheStamp) {
+  BufferBank b(300, 4);
+  const std::uint64_t s = b.stamp();
+  const std::uint64_t p = b.journal_position();
+  // One checkpoint plus one entry per change: kJournalSize - 1 changes
+  // still fit, one more overwrites the checkpoint.
+  Nodes pushed;
+  for (graph::NodeId v = 0; v + 1 < BufferBank::kJournalSize; ++v) {
+    ASSERT_TRUE(b.push(v, mk(v, v, 299)));
+    pushed.insert(v);
+  }
+  EXPECT_EQ(changes_since(b, s, p), pushed);
+  ASSERT_TRUE(b.push(298, mk(1000, 298, 299)));
+  EXPECT_EQ(changes_since(b, s, p), std::nullopt);
+  // A stamp drawn after the overflow is found again.
+  const std::uint64_t s2 = b.stamp();
+  const std::uint64_t p2 = b.journal_position();
+  ASSERT_TRUE(b.pop(7, 299).has_value());
+  EXPECT_EQ(changes_since(b, s2, p2), (Nodes{7}));
+}
+
+TEST(BufferBank, JournalOfAnUnrelatedBankAnswersFalse) {
+  // Two banks with the same operations sit at the same journal position;
+  // only the stamps tell them apart.
+  BufferBank a(4, 4);
+  BufferBank b(4, 4);
+  for (BufferBank* bank : {&a, &b}) {
+    bank->stamp();
+    ASSERT_TRUE(bank->push(0, mk(1, 0, 3)));
+  }
+  const std::uint64_t s = a.stamp();
+  const std::uint64_t p = a.journal_position();
+  b.stamp();
+  ASSERT_EQ(b.journal_position(), p);
+  for (BufferBank* bank : {&a, &b}) ASSERT_TRUE(bank->push(1, mk(2, 1, 3)));
+  EXPECT_EQ(changes_since(a, s, p), (Nodes{1}));
+  EXPECT_EQ(changes_since(b, s, p), std::nullopt);
+  const BufferBank never_stamped(4, 4);
+  EXPECT_EQ(never_stamped.journal_position(), 0U);
+  EXPECT_EQ(changes_since(never_stamped, s, p), std::nullopt);
 }
 
 }  // namespace
